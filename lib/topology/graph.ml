@@ -1,33 +1,73 @@
+(* Routes are a valley-free Dijkstra over (node, phase) states; see
+   [fill_route].  Each source's result lives in a [route] slice that is
+   allocated on the source's first query and refilled in place after an
+   invalidation, so a link flap costs recomputation but no allocation. *)
+
+type route = {
+  mutable stamp : int;  (** [epoch] the slice was filled in *)
+  dist : float array;  (** per state *)
+  pred : int array;
+      (** per state: [(edge * phases) + phase] of the predecessor state,
+          [edge] indexing the CSR arrays; -1 for the source and for
+          unreached states *)
+}
+
 type t = {
   mutable nodes : Node.t array;
   mutable node_count : int;
   mutable adjacency : (Node.id * Link.t) list array;
   mutable links : Link.t list;
-  (* Per-source Dijkstra results: distance and predecessor arrays. *)
-  sssp_cache : (Node.id, float array * int array) Hashtbl.t;
+  (* CSR view of [adjacency], rebuilt by the first route query after a
+     [connect]: node [u]'s edges are [off.(u)] .. [off.(u + 1) - 1], in
+     adjacency-list order. *)
+  mutable csr_valid : bool;
+  mutable off : int array;
+  mutable e_src : int array;
+  mutable e_dst : int array;
+  mutable e_lat : float array;
+  mutable e_ext : int array;  (** 0 internal, [phases] external *)
+  mutable e_link : Link.t array;
+  (* Route cache: a slice is current iff its stamp equals [epoch]. *)
+  mutable epoch : int;
+  mutable routes : route array;  (** per source, [no_route] until queried *)
+  (* Scratch owned by the graph, sized by [ensure_scratch]. *)
+  mutable visited : Bytes.t;
+  mutable heap_key : float array;
+  mutable heap_state : int array;
 }
 
+let phases = 3
 let dummy_node : Node.t = { id = -1; kind = Node.Host; label = "" }
+let no_route = { stamp = -1; dist = [||]; pred = [||] }
 
 let create () =
   { nodes = Array.make 16 dummy_node; node_count = 0;
-    adjacency = Array.make 16 []; links = [];
-    sssp_cache = Hashtbl.create 64 }
+    adjacency = Array.make 16 []; links = []; csr_valid = false;
+    off = [| 0 |]; e_src = [||]; e_dst = [||]; e_lat = [||]; e_ext = [||];
+    e_link = [||]; epoch = 0; routes = Array.make 16 no_route;
+    visited = Bytes.empty; heap_key = [||]; heap_state = [||] }
 
 let grow t =
   let capacity = Array.length t.nodes in
-  let nodes = Array.make (2 * capacity) dummy_node in
-  Array.blit t.nodes 0 nodes 0 t.node_count;
-  t.nodes <- nodes;
-  let adjacency = Array.make (2 * capacity) [] in
-  Array.blit t.adjacency 0 adjacency 0 t.node_count;
-  t.adjacency <- adjacency
+  let extend a fill =
+    let a' = Array.make (2 * capacity) fill in
+    Array.blit a 0 a' 0 t.node_count;
+    a'
+  in
+  t.nodes <- extend t.nodes dummy_node;
+  t.adjacency <- extend t.adjacency [];
+  t.routes <- extend t.routes no_route
 
+(* No invalidation: a new node has no links, so cached routes stay
+   exact, and [best_state] reads states beyond a slice as unreached.
+   The CSR arrays are rebuilt to give it an (empty) edge range; edge
+   indices, which cached routes record, do not move, as it comes last. *)
 let add_node t ~kind ~label =
   if t.node_count = Array.length t.nodes then grow t;
   let id = t.node_count in
   t.nodes.(id) <- { Node.id; kind; label };
   t.node_count <- id + 1;
+  t.csr_valid <- false;
   id
 
 let check_id t id fn =
@@ -39,7 +79,7 @@ let node t id =
   t.nodes.(id)
 
 let node_count t = t.node_count
-let invalidate_cache t = Hashtbl.reset t.sssp_cache
+let invalidate_cache t = t.epoch <- t.epoch + 1
 
 let link_between t a b =
   check_id t a "link_between";
@@ -56,11 +96,14 @@ let connect t a b ~latency ?capacity_bps ?kind () =
   t.adjacency.(a) <- (b, link) :: t.adjacency.(a);
   t.adjacency.(b) <- (a, link) :: t.adjacency.(b);
   t.links <- link :: t.links;
+  t.csr_valid <- false;
   invalidate_cache t;
   link
 
 let links t = t.links
 
+(* Up/down is read at relax time, so a flap leaves the CSR arrays as
+   they are and only drops the cached routes. *)
 let set_link_up t link up =
   if Link.is_up link <> up then begin
     Link.set_up_internal link up;
@@ -71,6 +114,99 @@ let neighbours t id =
   check_id t id "neighbours";
   t.adjacency.(id)
 
+let build_csr t =
+  let n = t.node_count in
+  let m = 2 * List.length t.links in
+  let off = Array.make (n + 1) 0 in
+  let e_src = Array.make m 0 and e_dst = Array.make m 0 in
+  let e_lat = Array.make m 0.0 and e_ext = Array.make m 0 in
+  let e_link = match t.links with [] -> [||] | l :: _ -> Array.make m l in
+  let e = ref 0 in
+  for u = 0 to n - 1 do
+    off.(u) <- !e;
+    List.iter
+      (fun (v, link) ->
+        e_src.(!e) <- u;
+        e_dst.(!e) <- v;
+        e_lat.(!e) <- Link.latency link;
+        e_ext.(!e) <-
+          (match Link.kind link with Link.Internal -> 0 | Link.External -> phases);
+        e_link.(!e) <- link;
+        incr e)
+      t.adjacency.(u)
+  done;
+  off.(n) <- !e;
+  t.off <- off;
+  t.e_src <- e_src;
+  t.e_dst <- e_dst;
+  t.e_lat <- e_lat;
+  t.e_ext <- e_ext;
+  t.e_link <- e_link;
+  t.csr_valid <- true
+
+(* Grown, never shrunk: after the first query of a built graph these
+   are allocated once.  Each push is a successful relaxation, at most
+   one per settled state and out-edge, so the heap never holds more than
+   [1 + phases * edges] entries. *)
+let ensure_scratch t states =
+  if Bytes.length t.visited < states then
+    t.visited <- Bytes.make states '\000';
+  let bound = 1 + (phases * Array.length t.e_dst) in
+  if Array.length t.heap_key < bound then begin
+    t.heap_key <- Array.make bound 0.0;
+    t.heap_state <- Array.make bound 0
+  end
+
+(* Binary min-heap of [size] entries on (distance, state index) in the
+   parallel arrays [keys] and [states], with lazy deletion: a state is
+   pushed again on every decrease and stale entries are skipped when
+   popped.  Both operations move a hole instead of swapping. *)
+let heap_push (keys : float array) (states : int array) size key state =
+  let i = ref size and rising = ref true in
+  while !rising && !i > 0 do
+    let parent = (!i - 1) / 2 in
+    let kp = Array.unsafe_get keys parent in
+    if kp > key || (kp = key && Array.unsafe_get states parent > state) then begin
+      Array.unsafe_set keys !i kp;
+      Array.unsafe_set states !i (Array.unsafe_get states parent);
+      i := parent
+    end
+    else rising := false
+  done;
+  Array.unsafe_set keys !i key;
+  Array.unsafe_set states !i state
+
+(* Drops the root of a heap of [size] > 0 entries: the last entry sinks
+   from the root. *)
+let heap_pop (keys : float array) (states : int array) size =
+  let last = size - 1 in
+  let key = Array.unsafe_get keys last and state = Array.unsafe_get states last in
+  let i = ref 0 and sinking = ref true in
+  while !sinking do
+    let l = (2 * !i) + 1 in
+    if l >= last then sinking := false
+    else begin
+      let c =
+        if l + 1 < last then begin
+          let kl = Array.unsafe_get keys l and kr = Array.unsafe_get keys (l + 1) in
+          if kr < kl || (kr = kl && Array.unsafe_get states (l + 1) < Array.unsafe_get states l)
+          then l + 1
+          else l
+        end
+        else l
+      in
+      let kc = Array.unsafe_get keys c in
+      if kc < key || (kc = key && Array.unsafe_get states c < state) then begin
+        Array.unsafe_set keys !i kc;
+        Array.unsafe_set states !i (Array.unsafe_get states c);
+        i := c
+      end
+      else sinking := false
+    end
+  done;
+  Array.unsafe_set keys !i key;
+  Array.unsafe_set states !i state
+
 (* Valley-free Dijkstra from [src].  The search state is (node, phase)
    with three phases:
 
@@ -80,121 +216,146 @@ let neighbours t id =
 
    Internal links keep phase 0, move 1 -> 2, and keep 2; external links
    move 0 -> 1, keep 1, and are forbidden from phase 2.  This is exactly
-   "no domain transits traffic between two providers".  O(V^2) with the
-   dense scan, fine at the simulated scales (a few hundred nodes). *)
-let phases = 3
+   "no domain transits traffic between two providers".
 
-let dijkstra t src =
-  let n = t.node_count in
-  let dist = Array.make (n * phases) infinity in
-  let pred = Array.make (n * phases) (-1) in
-  let visited = Array.make (n * phases) false in
+   States settle in (distance, state index) order — the lowest index wins
+   a tie — and relaxation is a strict [<] on [dist u +. latency], so the
+   first settled state to reach the least distance is the predecessor.
+   That makes [dist] and [pred] a pure function of the graph, whatever
+   the order of the adjacency lists.  O((V + E) log V) per source. *)
+let next_phase = [| 0; 2; 2; 1; 1; -1 |] (* .(e_ext + phase) *)
+
+let fill_route t src r =
+  let states = t.node_count * phases in
+  ensure_scratch t states;
+  let dist = r.dist and pred = r.pred and visited = t.visited in
+  Array.fill dist 0 states infinity;
+  Array.fill pred 0 states (-1);
+  Bytes.fill visited 0 states '\000';
+  let off = t.off and e_dst = t.e_dst and e_lat = t.e_lat
+  and e_ext = t.e_ext and e_link = t.e_link in
+  let keys = t.heap_key and heap = t.heap_state in
   dist.(src * phases) <- 0.0;
-  let states = n * phases in
-  for _ = 1 to states do
-    let u = ref (-1) in
-    let best = ref infinity in
-    for v = 0 to states - 1 do
-      if (not visited.(v)) && dist.(v) < !best then begin
-        best := dist.(v);
-        u := v
-      end
-    done;
-    if !u >= 0 then begin
-      visited.(!u) <- true;
-      let node = !u / phases and phase = !u mod phases in
-      List.iter
-        (fun (v, link) ->
-          let next_phase =
-            if not (Link.is_up link) then None
-            else
-            match (Link.kind link, phase) with
-            | Link.Internal, 0 -> Some 0
-            | Link.Internal, (1 | 2) -> Some 2
-            | Link.External, (0 | 1) -> Some 1
-            | Link.External, 2 -> None
-            | (Link.Internal | Link.External), _ -> None
-          in
-          match next_phase with
-          | Some p ->
-              let state = (v * phases) + p in
-              let candidate = dist.(!u) +. Link.latency link in
-              if candidate < dist.(state) then begin
-                dist.(state) <- candidate;
-                pred.(state) <- !u
-              end
-          | None -> ignore node)
-        t.adjacency.(node)
+  heap_push keys heap 0 0.0 (src * phases);
+  let size = ref 1 in
+  while !size > 0 do
+    let u = Array.unsafe_get heap 0 in
+    heap_pop keys heap !size;
+    decr size;
+    if Bytes.unsafe_get visited u = '\000' then begin
+      Bytes.unsafe_set visited u '\001';
+      let node = u / phases and phase = u mod phases in
+      let du = dist.(u) in
+      for e = off.(node) to off.(node + 1) - 1 do
+        let p = next_phase.(e_ext.(e) + phase) in
+        if p >= 0 && Link.is_up e_link.(e) then begin
+          let state = (e_dst.(e) * phases) + p in
+          let candidate = du +. e_lat.(e) in
+          if candidate < dist.(state) then begin
+            dist.(state) <- candidate;
+            pred.(state) <- (e * phases) + phase;
+            heap_push keys heap !size candidate state;
+            incr size
+          end
+        end
+      done
     end
   done;
-  (dist, pred)
+  r.stamp <- t.epoch
 
 let sssp t src =
-  match Hashtbl.find_opt t.sssp_cache src with
-  | Some r -> r
-  | None ->
-      let r = dijkstra t src in
-      Hashtbl.replace t.sssp_cache src r;
-      r
+  let r = t.routes.(src) in
+  if r.stamp = t.epoch then r
+  else begin
+    if not t.csr_valid then build_csr t;
+    let states = t.node_count * phases in
+    let r =
+      if Array.length r.dist = states then r
+      else begin
+        let r =
+          { stamp = -1; dist = Array.make states infinity;
+            pred = Array.make states (-1) }
+        in
+        t.routes.(src) <- r;
+        r
+      end
+    in
+    fill_route t src r;
+    r
+  end
 
-(* A border router may not be reached through a sibling border (phase
-   2): traffic addressed to its RLOC arrives over its own uplink. *)
-let allowed_phases t node =
-  match t.nodes.(node).Node.kind with
-  | Node.Border_router -> [ 0; 1 ]
-  | Node.Host | Node.Dns_server | Node.Pce | Node.Provider_core | Node.Hub ->
-      [ 0; 1; 2 ]
-
+(* The state [b] is reached in, or -1.  A border router may not be
+   reached through a sibling border (phase 2): traffic addressed to its
+   RLOC arrives over its own uplink.  A node added after [dist] was
+   filled has no states in it and no links yet: unreached. *)
 let best_state t dist b =
-  List.fold_left
-    (fun acc p ->
-      let state = (b * phases) + p in
-      match acc with
-      | Some s when dist.(s) <= dist.(state) -> acc
-      | Some _ | None -> if dist.(state) = infinity then acc else Some state)
-    None (allowed_phases t b)
+  let base = b * phases in
+  if base >= Array.length dist then -1
+  else begin
+    let last =
+      match t.nodes.(b).Node.kind with
+      | Node.Border_router -> 1
+      | Node.Host | Node.Dns_server | Node.Pce | Node.Provider_core | Node.Hub -> 2
+    in
+    let best = ref (-1) in
+    for s = base to base + last do
+      if dist.(s) < infinity && (!best < 0 || dist.(s) < dist.(!best)) then
+        best := s
+    done;
+    !best
+  end
 
 let latency_between t a b =
   check_id t a "latency_between";
   check_id t b "latency_between";
   if a = b then 0.0
   else begin
-    let dist, _ = sssp t a in
-    match best_state t dist b with
-    | Some s -> dist.(s)
-    | None -> raise Not_found
+    let r = sssp t a in
+    let s = best_state t r.dist b in
+    if s < 0 then raise Not_found else r.dist.(s)
   end
+
+(* The state before [state] on the route in [pred]. *)
+let pred_state t pred state =
+  let p = pred.(state) in
+  (t.e_src.(p / phases) * phases) + (p mod phases)
 
 let path_between t a b =
   check_id t a "path_between";
   check_id t b "path_between";
   if a = b then [ a ]
   else begin
-    let dist, pred = sssp t a in
-    match best_state t dist b with
-    | None -> raise Not_found
-    | Some final ->
-        let rec walk state acc =
-          let node = state / phases in
-          if node = a && state mod phases = 0 then node :: acc
-          else walk pred.(state) (node :: acc)
-        in
-        walk final []
+    let r = sssp t a in
+    let final = best_state t r.dist b in
+    if final < 0 then raise Not_found;
+    let source = a * phases in
+    let rec walk state acc =
+      if state = source then a :: acc
+      else walk (pred_state t r.pred state) ((state / phases) :: acc)
+    in
+    walk final []
   end
 
+(* Walks the predecessor edges back from [dst]; the counters are
+   additive, so charging in reverse is the same as charging forward.
+   Interior hops transit an edge's far end, so every edge but the last
+   (the first walked) also counts a forward at it; endpoints are charged
+   by the dataplane as tx/rx instead. *)
 let account_path t ~src ~dst ~bytes =
-  let path = path_between t src dst in
-  let telemetry = Netsim.Telemetry.enabled () in
-  let rec charge = function
-    | u :: (v :: tail as rest) ->
-        (match link_between t u v with
-        | Some link -> Link.account link ~src:u ~bytes
-        | None -> assert false);
-        (* Interior hops transit [v]; endpoints are charged by the
-           dataplane as tx/rx instead. *)
-        if telemetry && tail <> [] then
-          Netsim.Telemetry.on_node_fwd ~node:v ~bytes;
-        charge rest
-    | [ _ ] | [] -> ()
-  in
-  charge path
+  check_id t src "account_path";
+  check_id t dst "account_path";
+  if src <> dst then begin
+    let r = sssp t src in
+    let final = best_state t r.dist dst in
+    if final < 0 then raise Not_found;
+    let source = src * phases in
+    let telemetry = Netsim.Telemetry.enabled () in
+    let state = ref final in
+    while !state <> source do
+      let e = r.pred.(!state) / phases in
+      Link.account t.e_link.(e) ~src:t.e_src.(e) ~bytes;
+      if telemetry && !state <> final then
+        Netsim.Telemetry.on_node_fwd ~node:t.e_dst.(e) ~bytes;
+      state := pred_state t r.pred !state
+    done
+  end

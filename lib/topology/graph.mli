@@ -1,9 +1,13 @@
 (** The topology graph.
 
     Nodes are added first, then links; shortest-path latencies (Dijkstra
-    on link latency) are computed on demand and cached per source.  All
-    message and packet delays in the simulator derive from
-    {!latency_between}.
+    on link latency) are computed lazily, one source at a time, on that
+    source's first query, and cached per source.  Each source's route
+    storage is allocated once; after an invalidation (a new link, a link
+    failing or recovering) the next query from that source recomputes
+    into the same storage in place.  Nothing is precomputed when the
+    graph is built.  All message and packet delays in the simulator
+    derive from {!latency_between}.
 
     Routing is {e valley-free}: every path decomposes into an internal
     prefix (leaving the source domain over {!Link.Internal} links), an
@@ -19,7 +23,8 @@ type t
 val create : unit -> t
 
 val add_node : t -> kind:Node.kind -> label:string -> Node.id
-(** Allocates the next dense id. *)
+(** Allocates the next dense id.  Cached routes stay valid: the new node
+    is unreachable until a link to it is added. *)
 
 val node : t -> Node.id -> Node.t
 (** Raises [Invalid_argument] on an unknown id. *)
@@ -48,12 +53,15 @@ val path_between : t -> Node.id -> Node.id -> Node.id list
 val account_path : t -> src:Node.id -> dst:Node.id -> bytes:int -> unit
 (** Charge [bytes] to every link along the shortest path from [src] to
     [dst] in the forward direction — how data-plane transmissions feed
-    the utilisation counters. *)
+    the utilisation counters.  Interior nodes of the path (not the
+    endpoints) also count a forwarded packet when {!Netsim.Telemetry} is
+    enabled.  Allocates nothing once [src]'s route is cached.  Raises
+    [Not_found] if disconnected. *)
 
 val set_link_up : t -> Link.t -> bool -> unit
 (** Fail or restore a link.  Down links are invisible to shortest-path
     computation; routing caches are invalidated. *)
 
 val invalidate_cache : t -> unit
-(** Must be called if links are added after latency queries (builders do
-    this automatically via [connect]). *)
+(** Mark every cached route stale; each is recomputed in place on its
+    source's next query.  [connect] and {!set_link_up} call this. *)

@@ -76,6 +76,292 @@ let test_graph_account_path () =
   Alcotest.(check int) "reverse direction empty" 0 (Link.bytes_from link_ac c);
   Alcotest.(check int) "direct link unused" 0 (Link.bytes_from link_ad a)
 
+let test_graph_account_path_interior_hops () =
+  let g, a, b, c, d = diamond () in
+  Netsim.Telemetry.start ~now:0.0 ();
+  Fun.protect ~finally:Netsim.Telemetry.stop @@ fun () ->
+  Graph.account_path g ~src:a ~dst:d ~bytes:1000;
+  let fwd node = (Netsim.Telemetry.node_stat ~node `Fwd).Netsim.Telemetry.st_bytes in
+  Alcotest.(check int) "interior hop forwards" 1000 (fwd c);
+  Alcotest.(check (list int)) "endpoints and off-path nodes do not" [ 0; 0; 0 ]
+    [ fwd a; fwd d; fwd b ]
+
+let test_graph_add_node_after_query () =
+  let g = Graph.create () in
+  let a = Graph.add_node g ~kind:Node.Host ~label:"a" in
+  let b = Graph.add_node g ~kind:Node.Host ~label:"b" in
+  ignore (Graph.connect g a b ~latency:1.0 ());
+  check_float "a->b" 1.0 (Graph.latency_between g a b);
+  let c = Graph.add_node g ~kind:Node.Host ~label:"c" in
+  Alcotest.check_raises "latency to new node" Not_found (fun () ->
+      ignore (Graph.latency_between g a c));
+  Alcotest.check_raises "path to new node" Not_found (fun () ->
+      ignore (Graph.path_between g a c));
+  Alcotest.check_raises "from new node" Not_found (fun () ->
+      ignore (Graph.latency_between g c a));
+  check_float "cached route intact" 1.0 (Graph.latency_between g a b);
+  ignore (Graph.connect g b c ~latency:2.0 ());
+  check_float "reachable once linked" 3.0 (Graph.latency_between g a c);
+  Alcotest.(check (list int)) "path once linked" [ a; b; c ] (Graph.path_between g a c)
+
+(* ------------------------------------------------------------------ *)
+(* Differential oracle: the dense-scan Dijkstra the heap/CSR kernel     *)
+(* replaced, written against the public graph API.                     *)
+(* ------------------------------------------------------------------ *)
+
+module Dense_oracle = struct
+  let phases = 3
+
+  (* O(V^2): settle the unvisited state of least distance, lowest index
+     first on ties; relax with a strict [<]. *)
+  let dijkstra g src =
+    let states = Graph.node_count g * phases in
+    let dist = Array.make states infinity in
+    let pred = Array.make states (-1) in
+    let visited = Array.make states false in
+    dist.(src * phases) <- 0.0;
+    let settling = ref true in
+    while !settling do
+      let u = ref (-1) and best = ref infinity in
+      for v = 0 to states - 1 do
+        if (not visited.(v)) && dist.(v) < !best then begin
+          best := dist.(v);
+          u := v
+        end
+      done;
+      if !u < 0 then settling := false
+      else begin
+        let u = !u in
+        visited.(u) <- true;
+        List.iter
+          (fun (v, link) ->
+            let next =
+              if not (Link.is_up link) then None
+              else
+                match (Link.kind link, u mod phases) with
+                | Link.Internal, 0 -> Some 0
+                | Link.Internal, _ -> Some 2
+                | Link.External, (0 | 1) -> Some 1
+                | Link.External, _ -> None
+            in
+            match next with
+            | Some p ->
+                let state = (v * phases) + p in
+                let candidate = dist.(u) +. Link.latency link in
+                if candidate < dist.(state) then begin
+                  dist.(state) <- candidate;
+                  pred.(state) <- u
+                end
+            | None -> ())
+          (Graph.neighbours g (u / phases))
+      end
+    done;
+    (dist, pred)
+
+  let best_state g dist b =
+    let allowed =
+      match (Graph.node g b).Node.kind with
+      | Node.Border_router -> [ 0; 1 ]
+      | _ -> [ 0; 1; 2 ]
+    in
+    List.fold_left
+      (fun acc p ->
+        let state = (b * phases) + p in
+        match acc with
+        | Some s when dist.(s) <= dist.(state) -> acc
+        | Some _ | None -> if dist.(state) = infinity then acc else Some state)
+      None allowed
+
+  (* Every destination's [(latency, path)], or [None] when unreachable. *)
+  let routes_from g a =
+    let dist, pred = dijkstra g a in
+    Array.init (Graph.node_count g) (fun b ->
+        if b = a then Some (0.0, [ a ])
+        else
+          match best_state g dist b with
+          | None -> None
+          | Some final ->
+              let rec walk state acc =
+                let node = state / phases in
+                if node = a && state mod phases = 0 then node :: acc
+                else walk pred.(state) (node :: acc)
+              in
+              Some (dist.(final), walk final []))
+end
+
+let graph_route g a b =
+  match Graph.latency_between g a b with
+  | latency -> Some (latency, Graph.path_between g a b)
+  | exception Not_found -> (
+      match Graph.path_between g a b with
+      | _ -> Alcotest.failf "%d->%d: no latency but a path" a b
+      | exception Not_found -> None)
+
+(* Every pair: the latency bit for bit, the path, and unreachability. *)
+let check_against_oracle what g =
+  let n = Graph.node_count g in
+  for a = 0 to n - 1 do
+    let expected = Dense_oracle.routes_from g a in
+    for b = 0 to n - 1 do
+      let same =
+        match (expected.(b), graph_route g a b) with
+        | None, None -> true
+        | Some (l, p), Some (l', p') ->
+            Int64.equal (Int64.bits_of_float l) (Int64.bits_of_float l') && p = p'
+        | Some _, None | None, Some _ -> false
+      in
+      if not same then
+        Alcotest.failf "%s: %d->%d differs from the dense oracle" what a b
+    done
+  done
+
+(* Mutations between query rounds: flaps, extra links (tie-prone
+   latencies from a small set, either kind) and late nodes.  Each round
+   first queries a random subset, so some sources are cached and some
+   not when the next mutation lands. *)
+let mutate rng g =
+  let n = Graph.node_count g in
+  let links = Array.of_list (Graph.links g) in
+  match Netsim.Rng.int rng 4 with
+  | 0 | 1 when Array.length links > 0 ->
+      let l = Netsim.Rng.choice rng links in
+      Graph.set_link_up g l (not (Link.is_up l))
+  | 2 ->
+      let a = Netsim.Rng.int rng n and b = Netsim.Rng.int rng n in
+      if a <> b && Graph.link_between g a b = None then
+        ignore
+          (Graph.connect g a b
+             ~latency:(0.001 *. float_of_int (1 + Netsim.Rng.int rng 3))
+             ~kind:(if Netsim.Rng.bool rng then Link.Internal else Link.External)
+             ())
+  | _ -> ignore (Graph.add_node g ~kind:Node.Hub ~label:"late")
+
+let warm_some rng g =
+  let n = Graph.node_count g in
+  for _ = 1 to n do
+    let a = Netsim.Rng.int rng n and b = Netsim.Rng.int rng n in
+    ignore (graph_route g a b)
+  done
+
+let prop_oracle_generated =
+  QCheck.Test.make ~name:"heap kernel matches dense oracle on generated internets"
+    ~count:15 QCheck.(int_range 1 10_000)
+    (fun seed ->
+      let rng = Netsim.Rng.create seed in
+      let params =
+        { Builder.default_params with
+          domain_count = 2 + Netsim.Rng.int rng 6;
+          provider_count = 2 + Netsim.Rng.int rng 4;
+          hosts_per_domain = 1 + Netsim.Rng.int rng 3;
+          core_shape =
+            (if Netsim.Rng.bool rng then Builder.Full_mesh else Builder.Two_tier 2) }
+      in
+      let params =
+        if params.Builder.provider_count < 3 then
+          { params with core_shape = Builder.Full_mesh }
+        else params
+      in
+      let g = (Builder.generate (Netsim.Rng.split rng) params).Builder.graph in
+      check_against_oracle "fresh" g;
+      for _ = 1 to 6 do
+        mutate rng g;
+        warm_some rng g;
+        mutate rng g;
+        check_against_oracle "mutated" g
+      done;
+      true)
+
+(* Small dense graphs with integer latencies: ties everywhere, so the
+   settle order decides the predecessors. *)
+let prop_oracle_ties =
+  QCheck.Test.make ~name:"heap kernel breaks ties like the dense oracle"
+    ~count:200 QCheck.(int_range 1 100_000)
+    (fun seed ->
+      let rng = Netsim.Rng.create seed in
+      let g = Graph.create () in
+      let kinds = [| Node.Host; Node.Border_router; Node.Hub; Node.Provider_core |] in
+      let n = 2 + Netsim.Rng.int rng 10 in
+      for i = 0 to n - 1 do
+        ignore (Graph.add_node g ~kind:(Netsim.Rng.choice rng kinds) ~label:(string_of_int i))
+      done;
+      for _ = 1 to 2 * n do
+        let a = Netsim.Rng.int rng n and b = Netsim.Rng.int rng n in
+        if a <> b && Graph.link_between g a b = None then
+          ignore
+            (Graph.connect g a b ~latency:(float_of_int (1 + Netsim.Rng.int rng 3))
+               ~kind:(if Netsim.Rng.bool rng then Link.Internal else Link.External)
+               ())
+      done;
+      check_against_oracle "fresh" g;
+      for _ = 1 to 4 do
+        mutate rng g;
+        warm_some rng g;
+        check_against_oracle "mutated" g
+      done;
+      true)
+
+(* [account_path] charges exactly the links of the oracle's path, in the
+   forward direction. *)
+let test_account_path_matches_oracle () =
+  let net =
+    Builder.generate (Netsim.Rng.create 17)
+      { Builder.default_params with domain_count = 6; provider_count = 4 }
+  in
+  let g = net.Builder.graph in
+  let n = Graph.node_count g in
+  let expected = Hashtbl.create 64 in
+  for a = 0 to n - 1 do
+    let routes = Dense_oracle.routes_from g a in
+    for b = 0 to n - 1 do
+      match routes.(b) with
+      | Some (_, path) ->
+          Graph.account_path g ~src:a ~dst:b ~bytes:1;
+          let rec charge = function
+            | u :: (v :: _ as rest) ->
+                let link = Option.get (Graph.link_between g u v) in
+                let key = (Link.id link, u) in
+                Hashtbl.replace expected key
+                  (1 + Option.value ~default:0 (Hashtbl.find_opt expected key));
+                charge rest
+            | [ _ ] | [] -> ()
+          in
+          charge path
+      | None -> ()
+    done
+  done;
+  List.iter
+    (fun link ->
+      List.iter
+        (fun u ->
+          Alcotest.(check int) "bytes per direction"
+            (Option.value ~default:0 (Hashtbl.find_opt expected (Link.id link, u)))
+            (Link.bytes_from link u))
+        [ Link.a link; Link.b link ])
+    (Graph.links g)
+
+(* The benchmark's wan-setup internet (456 nodes) with one uplink flap
+   pair, every pair checked at each step. *)
+let test_oracle_wan_setup () =
+  let net =
+    Builder.generate (Netsim.Rng.create 1)
+      { Builder.default_params with domain_count = 64; provider_count = 6;
+        borders_per_domain = 2; hosts_per_domain = 2 }
+  in
+  let g = net.Builder.graph in
+  Alcotest.(check int) "wan-setup size" 456 (Graph.node_count g);
+  check_against_oracle "built" g;
+  let border = net.Builder.domains.(5).Domain.borders.(0) in
+  let uplink =
+    List.find
+      (fun (v, _) -> (Graph.node g v).Node.kind = Node.Provider_core)
+      (Graph.neighbours g border.Domain.router)
+    |> snd
+  in
+  Graph.set_link_up g uplink false;
+  check_against_oracle "uplink down" g;
+  Graph.set_link_up g uplink true;
+  check_against_oracle "uplink restored" g
+
 (* ------------------------------------------------------------------ *)
 (* Link                                                                *)
 (* ------------------------------------------------------------------ *)
@@ -357,7 +643,16 @@ let () =
           Alcotest.test_case "duplicate rejected" `Quick test_graph_duplicate_link_rejected;
           Alcotest.test_case "cache invalidation" `Quick test_graph_cache_invalidation;
           Alcotest.test_case "account path" `Quick test_graph_account_path;
+          Alcotest.test_case "account path interior hops" `Quick
+            test_graph_account_path_interior_hops;
+          Alcotest.test_case "add node after query" `Quick test_graph_add_node_after_query;
         ] );
+      ( "oracle",
+        [
+          Alcotest.test_case "account path" `Quick test_account_path_matches_oracle;
+          Alcotest.test_case "wan-setup internet" `Quick test_oracle_wan_setup;
+        ]
+        @ List.map QCheck_alcotest.to_alcotest [ prop_oracle_generated; prop_oracle_ties ] );
       ( "link",
         [
           Alcotest.test_case "accounting" `Quick test_link_accounting;
