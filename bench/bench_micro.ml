@@ -58,6 +58,17 @@ let test_trie =
                 (Nettypes.Ipv4.addr_of_int ((i * 104729) land 0xFFFFFFFF)))
          done))
 
+(* Same probes through the allocation-free form the map-cache hit path
+   uses: no prefix rebuilt, no tuple. *)
+let test_trie_value =
+  Test.make ~name:"prefix-trie: 1k lookup_value"
+    (Staged.stage (fun () ->
+         for i = 0 to 999 do
+           ignore
+             (Nettypes.Prefix_table.lookup_value trie_for_bench
+                (Nettypes.Ipv4.addr_of_int ((i * 104729) land 0xFFFFFFFF)))
+         done))
+
 let internet_for_bench =
   Topology.Builder.generate (Netsim.Rng.create 2)
     { Topology.Builder.default_params with
@@ -287,11 +298,11 @@ let telemetry_disabled_alloc_words () =
   Gc.minor_words () -. w0
 
 let tests =
-  [ test_engine; test_map_cache; test_trie; test_dijkstra; test_pce_connection;
-    test_wire_encode; test_wire_decode; test_zipf; test_samples_exact;
-    test_samples_reservoir; test_p2; test_trace_disabled; test_hub_disabled;
-    test_spans_disabled; test_prof_disabled; test_prof_wrap_disabled;
-    test_telemetry_disabled ]
+  [ test_engine; test_map_cache; test_trie; test_trie_value; test_dijkstra;
+    test_pce_connection; test_wire_encode; test_wire_decode; test_zipf;
+    test_samples_exact; test_samples_reservoir; test_p2; test_trace_disabled;
+    test_hub_disabled; test_spans_disabled; test_prof_disabled;
+    test_prof_wrap_disabled; test_telemetry_disabled ]
 
 (* Run [f] with the profiler paused: measured loops must not pay
    profiler overhead, and the "(disabled)" benches must be honest even

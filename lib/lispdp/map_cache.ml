@@ -7,7 +7,8 @@ open Nettypes
    structures each eviction policy keeps its own victim-selection state:
 
    - LRU: an intrusive doubly-linked recency list (head = most recent);
-     the victim is the tail.
+     the victim is the tail.  List ends are the sentinel entry [nil],
+     so relinking an entry on a hit allocates nothing.
    - LFU: a doubly-linked list of frequency buckets in ascending
      hit-count order, each bucket an intrusive recency list of the
      entries in that class; the victim is the least-recent entry of the
@@ -50,9 +51,9 @@ type entry = {
   expires_at : float;
   mutable provenance : provenance;
   (* Recency links: the global list under LRU / TTL-hybrid, the
-     within-bucket list under LFU. *)
-  mutable prev : entry option;
-  mutable next : entry option;
+     within-bucket list under LFU; [nil] ends a list. *)
+  mutable prev : entry;
+  mutable next : entry;
   (* LFU state: hit-count class and the bucket currently holding the
      entry. *)
   mutable freq : int;
@@ -63,8 +64,8 @@ type entry = {
 
 and bucket = {
   b_freq : int;
-  mutable b_head : entry option; (* most recent in this class *)
-  mutable b_tail : entry option; (* least recent in this class *)
+  mutable b_head : entry; (* most recent in this class; [nil] when empty *)
+  mutable b_tail : entry; (* least recent in this class; [nil] when empty *)
   mutable b_prev : bucket option; (* next lower frequency class *)
   mutable b_next : bucket option; (* next higher frequency class *)
 }
@@ -74,16 +75,21 @@ and bucket = {
 let prefix_key p =
   (Ipv4.addr_to_int (Ipv4.prefix_network p) lsl 6) lor Ipv4.prefix_length p
 
-let dummy_entry =
-  { mapping =
-      Mapping.create
-        ~eid_prefix:(Ipv4.prefix (Ipv4.addr_of_int 0) 0)
-        ~rlocs:[ Mapping.rloc (Ipv4.addr_of_int 0) ]
-        ~ttl:1.0;
+let nil_mapping =
+  Mapping.create
+    ~eid_prefix:(Ipv4.prefix (Ipv4.addr_of_int 0) 0)
+    ~rlocs:[ Mapping.rloc (Ipv4.addr_of_int 0) ]
+    ~ttl:1.0
+
+(* The sentinel entry: the end of every recency list and the filler of
+   the index's and the heap's empty cells.  Never cached, and its own
+   links are never written. *)
+let rec nil =
+  { mapping = nil_mapping;
     expires_at = 0.0;
     provenance = Verified;
-    prev = None;
-    next = None;
+    prev = nil;
+    next = nil;
     freq = 0;
     bucket = None;
     dead = true }
@@ -107,8 +113,8 @@ type t = {
   mutable gleaned_live : int;
   table : entry Prefix_table.t;
   index : entry Int_table.t; (* packed prefix -> entry, exact match *)
-  mutable head : entry option; (* most recently used (LRU / TTL-hybrid) *)
-  mutable tail : entry option; (* least recently used (LRU / TTL-hybrid) *)
+  mutable head : entry; (* most recently used (LRU / TTL-hybrid) *)
+  mutable tail : entry; (* least recently used (LRU / TTL-hybrid) *)
   mutable lfu_min : bucket option; (* lowest frequency class (LFU) *)
   heap : heap; (* expiry min-heap (TTL-hybrid) *)
   stats : stats;
@@ -124,8 +130,8 @@ let create ?(policy = Lru) ?(capacity = 10_000) ?glean_cap () =
   | Some _ | None -> ());
   { capacity; policy; glean_cap; gleaned_live = 0;
     table = Prefix_table.create ();
-    index = Int_table.create ~dummy:dummy_entry ();
-    head = None; tail = None; lfu_min = None;
+    index = Int_table.create ~dummy:nil ();
+    head = nil; tail = nil; lfu_min = None;
     heap = { h_arr = [||]; h_len = 0 };
     stats =
       { hits = 0; misses = 0; insertions = 0; evictions = 0; expirations = 0;
@@ -146,16 +152,16 @@ let gleaned t = t.gleaned_live
 (* ---- global recency list (LRU / TTL-hybrid) ---- *)
 
 let unlink t e =
-  (match e.prev with Some p -> p.next <- e.next | None -> t.head <- e.next);
-  (match e.next with Some n -> n.prev <- e.prev | None -> t.tail <- e.prev);
-  e.prev <- None;
-  e.next <- None
+  if e.prev != nil then e.prev.next <- e.next else t.head <- e.next;
+  if e.next != nil then e.next.prev <- e.prev else t.tail <- e.prev;
+  e.prev <- nil;
+  e.next <- nil
 
 let push_front t e =
-  e.prev <- None;
+  e.prev <- nil;
   e.next <- t.head;
-  (match t.head with Some h -> h.prev <- Some e | None -> t.tail <- Some e);
-  t.head <- Some e
+  if t.head != nil then t.head.prev <- e else t.tail <- e;
+  t.head <- e
 
 (* ---- LFU frequency buckets ---- *)
 
@@ -163,12 +169,12 @@ let bucket_unlink t e =
   match e.bucket with
   | None -> ()
   | Some b ->
-      (match e.prev with Some p -> p.next <- e.next | None -> b.b_head <- e.next);
-      (match e.next with Some n -> n.prev <- e.prev | None -> b.b_tail <- e.prev);
-      e.prev <- None;
-      e.next <- None;
+      if e.prev != nil then e.prev.next <- e.next else b.b_head <- e.next;
+      if e.next != nil then e.next.prev <- e.prev else b.b_tail <- e.prev;
+      e.prev <- nil;
+      e.next <- nil;
       e.bucket <- None;
-      if b.b_head = None then begin
+      if b.b_head == nil then begin
         (match b.b_prev with
         | Some p -> p.b_next <- b.b_next
         | None -> t.lfu_min <- b.b_next);
@@ -176,10 +182,10 @@ let bucket_unlink t e =
       end
 
 let bucket_push_entry b e =
-  e.prev <- None;
+  e.prev <- nil;
   e.next <- b.b_head;
-  (match b.b_head with Some h -> h.prev <- Some e | None -> b.b_tail <- Some e);
-  b.b_head <- Some e;
+  if b.b_head != nil then b.b_head.prev <- e else b.b_tail <- e;
+  b.b_head <- e;
   e.bucket <- Some b
 
 (* The bucket for class [f] sitting right after [anchor] (or at the list
@@ -192,7 +198,7 @@ let bucket_after t anchor f =
   | Some nb when nb.b_freq = f -> nb
   | _ ->
       let nb =
-        { b_freq = f; b_head = None; b_tail = None; b_prev = anchor;
+        { b_freq = f; b_head = nil; b_tail = nil; b_prev = anchor;
           b_next = next }
       in
       (match next with Some n -> n.b_prev <- Some nb | None -> ());
@@ -217,7 +223,7 @@ let lfu_promote t e =
       (* If [e] is alone in its bucket, the bucket dies with the unlink
          and the next class anchors on its predecessor instead. *)
       let anchor =
-        match (e.prev, e.next) with None, None -> b.b_prev | _ -> Some b
+        if e.prev == nil && e.next == nil then b.b_prev else Some b
       in
       bucket_unlink t e;
       e.freq <- e.freq + 1;
@@ -251,7 +257,7 @@ let heap_sift_down h i0 =
 let heap_push h e =
   let cap = Array.length h.h_arr in
   if h.h_len = cap then begin
-    let arr = Array.make (Stdlib.max 8 (2 * cap)) dummy_entry in
+    let arr = Array.make (Stdlib.max 8 (2 * cap)) nil in
     Array.blit h.h_arr 0 arr 0 h.h_len;
     h.h_arr <- arr
   end;
@@ -269,15 +275,16 @@ let heap_pop h =
   let top = h.h_arr.(0) in
   h.h_len <- h.h_len - 1;
   h.h_arr.(0) <- h.h_arr.(h.h_len);
-  h.h_arr.(h.h_len) <- dummy_entry;
+  h.h_arr.(h.h_len) <- nil;
   heap_sift_down h 0;
   top
 
+(* The earliest-expiring live entry, or [nil] when none is left. *)
 let rec heap_pop_live h =
-  if h.h_len = 0 then None
+  if h.h_len = 0 then nil
   else
     let e = heap_pop h in
-    if e.dead then heap_pop_live h else Some e
+    if e.dead then heap_pop_live h else e
 
 (* Dead nodes accumulate when entries die without being popped (TTL
    reaps, invalidations, refreshes); rebuild once they dominate so the
@@ -293,7 +300,7 @@ let heap_compact h ~live =
       end
     done;
     for i = !n to h.h_len - 1 do
-      h.h_arr.(i) <- dummy_entry
+      h.h_arr.(i) <- nil
     done;
     h.h_len <- !n;
     for i = (h.h_len / 2) - 1 downto 0 do
@@ -338,10 +345,10 @@ let remove_covered t prefix =
 let clear t =
   Prefix_table.clear t.table;
   Int_table.clear t.index;
-  t.head <- None;
-  t.tail <- None;
+  t.head <- nil;
+  t.tail <- nil;
   t.lfu_min <- None;
-  Array.fill t.heap.h_arr 0 (Array.length t.heap.h_arr) dummy_entry;
+  Array.fill t.heap.h_arr 0 (Array.length t.heap.h_arr) nil;
   t.heap.h_len <- 0;
   t.gleaned_live <- 0;
   t.stats.hits <- 0;
@@ -354,11 +361,12 @@ let clear t =
 
 (* Victim choice when the cache is full, per policy.  A TTL-hybrid
    victim has already been popped off the heap; [drop_entry]'s dead
-   marking is then a no-op as far as the heap is concerned. *)
+   marking is then a no-op as far as the heap is concerned.  [nil] when
+   the cache is empty. *)
 let victim t =
   match t.policy with
   | Lru -> t.tail
-  | Lfu -> ( match t.lfu_min with Some b -> b.b_tail | None -> None)
+  | Lfu -> ( match t.lfu_min with Some b -> b.b_tail | None -> nil)
   | Ttl_hybrid -> heap_pop_live t.heap
 
 (* Capacity pressure drops one entry; the books must say why it died.
@@ -367,18 +375,18 @@ let victim t =
    hook) would overstate capacity pressure and skew miss-curve stats,
    so attribution checks [expires_at] against [now] first. *)
 let evict_one t ~now =
-  match victim t with
-  | None -> ()
-  | Some e ->
-      drop_entry t e;
-      if e.expires_at <= now then begin
-        t.stats.expirations <- t.stats.expirations + 1;
-        match t.expire_hook with Some hook -> hook e.mapping | None -> ()
-      end
-      else begin
-        t.stats.evictions <- t.stats.evictions + 1;
-        match t.evict_hook with Some hook -> hook e.mapping | None -> ()
-      end
+  let e = victim t in
+  if e != nil then begin
+    drop_entry t e;
+    if e.expires_at <= now then begin
+      t.stats.expirations <- t.stats.expirations + 1;
+      match t.expire_hook with Some hook -> hook e.mapping | None -> ()
+    end
+    else begin
+      t.stats.evictions <- t.stats.evictions + 1;
+      match t.evict_hook with Some hook -> hook e.mapping | None -> ()
+    end
+  end
 
 let insert t ~now ?(provenance = Verified) mapping =
   (* A refresh replaces the old entry silently: it is neither an
@@ -418,7 +426,7 @@ let insert t ~now ?(provenance = Verified) mapping =
         if length t >= t.capacity then evict_one t ~now;
         let e =
           { mapping; expires_at = now +. mapping.Mapping.ttl; provenance;
-            prev = None; next = None;
+            prev = nil; next = nil;
             freq = (match refreshed_freq with Some f -> f | None -> 1);
             bucket = None; dead = false }
         in
@@ -435,12 +443,14 @@ let insert t ~now ?(provenance = Verified) mapping =
           t.stats.insertions <- t.stats.insertions + 1
       end
 
-(* Longest-prefix match skipping (and reaping) expired entries. *)
+(* Longest-prefix match skipping (and reaping) expired entries.  A live
+   hit returns the option the trie stored at insertion, so the hit path
+   allocates nothing. *)
 let rec live_lookup t ~now addr =
-  match Prefix_table.lookup t.table addr with
+  match Prefix_table.lookup_value t.table addr with
   | None -> None
-  | Some (_, e) ->
-      if e.expires_at > now then Some e
+  | Some e as hit ->
+      if e.expires_at > now then hit
       else begin
         drop_entry t e;
         t.stats.expirations <- t.stats.expirations + 1;

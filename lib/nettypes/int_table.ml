@@ -17,7 +17,15 @@ type 'a t = {
 
 let fib = 0x2545F4914F6CDD1D
 
-let slot_of t key = key * fib land max_int land t.mask
+(* The slot comes from the high bits of the product.  Bit [i] of
+   [key * fib] depends only on bits [0..i] of the key, so the low bits
+   carry no more entropy than the key's own low bits — and the keys
+   this table sees often have constant low bits: a packed prefix is
+   [network lsl 6 lor len], whose low 14 bits are the constant 24 for
+   every /24, so a low-bit slot put 10k random /24s on two home slots.
+   The top bits mix every key bit; bits 32..62 cover any capacity up
+   to 2^31. *)
+let slot_of t key = (key * fib) lsr 32 land t.mask
 
 let rec capacity_for n cap = if cap >= n then cap else capacity_for n (2 * cap)
 

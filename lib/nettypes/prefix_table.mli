@@ -1,9 +1,15 @@
 (** Longest-prefix-match table.
 
-    A binary trie keyed by IPv4 prefixes, as used by EID-prefix lookup in
-    map-caches, NERD databases and the ALT overlay's aggregation
-    hierarchy.  Lookup returns the most specific (longest) matching
-    prefix's binding. *)
+    Keyed by IPv4 prefixes, as used by EID-prefix lookup in map-caches,
+    NERD databases and the ALT overlay's aggregation hierarchy.  Lookup
+    returns the most specific (longest) matching prefix's binding.
+
+    A flat binary trie: nodes are indices into [int] arrays of child
+    links, with the bindings in a value array beside them, so a lookup
+    is at most 32 array hops and {!lookup_value} allocates nothing.
+    {!remove} prunes the path nodes a binding no longer needs and
+    {!add} reuses them, so memory follows the live binding count
+    ({!node_count}), not every prefix the table has ever held. *)
 
 type 'a t
 
@@ -21,6 +27,9 @@ val lookup : 'a t -> Ipv4.addr -> (Ipv4.prefix * 'a) option
 (** Longest-prefix match for an address. *)
 
 val lookup_value : 'a t -> Ipv4.addr -> 'a option
+(** The value of {!lookup}, without the prefix.  Returns the option
+    stored at insertion, so it allocates nothing — the hot-path form
+    for callers that only need the binding. *)
 
 val covering : 'a t -> Ipv4.prefix -> (Ipv4.prefix * 'a) option
 (** Most specific binding whose prefix subsumes the given prefix. *)
@@ -30,8 +39,14 @@ val length : 'a t -> int
 
 val is_empty : 'a t -> bool
 
+val node_count : 'a t -> int
+(** Trie nodes in use, root included.  Every leaf carries a binding, so
+    this is at most [1 + 32 * length t] however many prefixes have come
+    and gone.  Meant for tests and diagnostics. *)
+
 val iter : 'a t -> f:(Ipv4.prefix -> 'a -> unit) -> unit
-(** Visit bindings in ascending (network, length) order. *)
+(** Visit bindings in ascending (network, length) order.  [f] (here and
+    in the folds) must not modify the table. *)
 
 val fold : 'a t -> init:'b -> f:(Ipv4.prefix -> 'a -> 'b -> 'b) -> 'b
 

@@ -402,6 +402,35 @@ let prop_cache_glean_cap_bound =
          = Map_cache.length c + s.Map_cache.evictions + s.Map_cache.expirations
            + s.Map_cache.invalidations)
 
+(* An LRU hit takes the entry straight from the trie and relinks it
+   through sentinel recency links, so the only allocation left on the
+   hit path is the [Some mapping] it returns (two words). *)
+let test_cache_lru_hit_allocates_only_result () =
+  let c = Map_cache.create () in
+  for i = 0 to 199 do
+    Map_cache.insert c ~now:0.0
+      (mapping ~prefix:(Printf.sprintf "100.%d.%d.0/24" (i / 100) (i mod 100)) ())
+  done;
+  let probe i =
+    let i = i mod 200 in
+    Ipv4.addr_of_int
+      ((100 lsl 24) lor ((i / 100) lsl 16) lor ((i mod 100) lsl 8) lor 7)
+  in
+  for i = 0 to 999 do
+    ignore (Map_cache.lookup c ~now:1.0 (probe i))
+  done;
+  let n = 100_000 in
+  let w0 = Gc.minor_words () in
+  for i = 0 to n - 1 do
+    ignore (Sys.opaque_identity (Map_cache.lookup c ~now:1.0 (probe i)))
+  done;
+  let dw = Gc.minor_words () -. w0 in
+  Alcotest.(check int) "every lookup hit" (n + 1000) (Map_cache.stats c).Map_cache.hits;
+  Alcotest.(check bool)
+    (Printf.sprintf "%.2f words per hit (want <= 2)" (dw /. float_of_int n))
+    true
+    (dw <= 2.0 *. float_of_int n)
+
 (* ------------------------------------------------------------------ *)
 (* Flow_table                                                          *)
 (* ------------------------------------------------------------------ *)
@@ -730,6 +759,8 @@ let () =
             test_cache_provenance_upgrade_only;
           Alcotest.test_case "glean cap rejects" `Quick
             test_cache_glean_cap_rejects;
+          Alcotest.test_case "lru hit allocates only its result" `Quick
+            test_cache_lru_hit_allocates_only_result;
         ] );
       ( "flow_table",
         [

@@ -153,6 +153,36 @@ let test_int_table_churn_keeps_probes_short () =
   if mean > 4.0 then
     Alcotest.failf "mean probe length %.2f after churn (want <= 4)" mean
 
+(* Keys shaped like the map-cache's exact index: a packed prefix is
+   [network lsl 6 lor len], so every /24 shares its low 14 bits.  A hash
+   that takes the low bits of the product sends all of them to a handful
+   of home slots and every probe walks one long cluster; the sequential
+   keys above cannot show that. *)
+let test_int_table_packed_prefix_keys_spread () =
+  let window = 16_384 in
+  let eids =
+    Workload.Eid_universe.generate ~rng:(Netsim.Rng.create 11) ~n:(4 * window)
+  in
+  let key r =
+    let p = Workload.Eid_universe.prefix eids r in
+    (Ipv4.addr_to_int (Ipv4.prefix_network p) lsl 6) lor Ipv4.prefix_length p
+  in
+  let t = Int_table.create ~dummy:(-1) () in
+  (* Fill the window, then churn it one eviction per insert. *)
+  for r = 0 to (4 * window) - 1 do
+    if r >= window then Int_table.remove t (key (r - window));
+    Int_table.add t (key r) r
+  done;
+  Alcotest.(check int) "window live" window (Int_table.length t);
+  let probes = ref 0 in
+  for r = 3 * window to (4 * window) - 1 do
+    probes := !probes + Int_table.probe_length t (key r)
+  done;
+  let mean = float_of_int !probes /. float_of_int window in
+  if mean > 4.0 then
+    Alcotest.failf "mean probe length %.2f over packed-prefix keys (want <= 4)"
+      mean
+
 (* ------------------------------------------------------------------ *)
 (* Prefix_table                                                        *)
 (* ------------------------------------------------------------------ *)
@@ -325,6 +355,181 @@ let test_trie_iter_and_clear () =
   Alcotest.(check bool) "empty after clear" true (Prefix_table.is_empty t);
   Alcotest.(check (option int)) "lookup after clear" None
     (Prefix_table.lookup_value t (addr "10.0.0.1"))
+
+(* A long-lived cache churns far more distinct prefixes through the
+   trie than it ever holds at once.  [remove] must prune the path nodes
+   a binding no longer needs, so the node count follows the live set:
+   every leaf carries a binding, hence at most 32 nodes per binding
+   plus the root. *)
+let test_trie_nodes_bounded_under_churn () =
+  let window = 1_000 and total = 200_000 in
+  let eids =
+    Workload.Eid_universe.generate ~rng:(Netsim.Rng.create 12) ~n:total
+  in
+  let t = Prefix_table.create () in
+  let peak = ref 0 in
+  for r = 0 to total - 1 do
+    if r >= window then
+      Prefix_table.remove t (Workload.Eid_universe.prefix eids (r - window));
+    Prefix_table.add t (Workload.Eid_universe.prefix eids r) r;
+    peak := Stdlib.max !peak (Prefix_table.node_count t)
+  done;
+  Alcotest.(check int) "window live" window (Prefix_table.length t);
+  let bound = 1 + (32 * window) in
+  if !peak > bound then
+    Alcotest.failf "%d trie nodes for a %d-prefix live window (want <= %d)"
+      !peak window bound;
+  for r = total - window to total - 1 do
+    Prefix_table.remove t (Workload.Eid_universe.prefix eids r)
+  done;
+  Alcotest.(check int) "drained to the root" 1 (Prefix_table.node_count t)
+
+(* The hit path of every map-cache lookup: [lookup_value] hands back
+   the option stored at insertion and must not allocate. *)
+let test_trie_lookup_value_allocation_free () =
+  let t = Prefix_table.create () in
+  for i = 0 to 999 do
+    let network = Ipv4.addr_of_int ((i * 7919) land 0xFFFFFF00) in
+    Prefix_table.add t (Ipv4.prefix network (8 + (i mod 17))) i
+  done;
+  (* A host inside prefix [i mod 1000], so every probe hits. *)
+  let probe i =
+    Ipv4.addr_of_int (((i mod 1000) * 7919) land 0xFFFFFF00 lor (i land 0xFF))
+  in
+  for i = 0 to 999 do
+    if Prefix_table.lookup_value t (probe i) = None then
+      Alcotest.failf "probe %d missed" i
+  done;
+  let w0 = Gc.minor_words () in
+  for i = 0 to 99_999 do
+    ignore (Sys.opaque_identity (Prefix_table.lookup_value t (probe i)))
+  done;
+  let dw = Gc.minor_words () -. w0 in
+  Alcotest.(check bool)
+    (Printf.sprintf "lookup_value allocates nothing (%.0f words)" dw)
+    true (dw = 0.0)
+
+(* Differential oracle: the flat trie against the option-boxed binary
+   trie it replaced ([Ref_prefix_table]), under interleaved add (with
+   replacement), remove and clear over prefix sets that nest, include
+   /0 and /32, and sit side by side.  After every step the two must
+   agree on every query at random addresses and at the prefix
+   boundaries. *)
+type trie_op = Add of int * int | Remove of int | Clear
+
+let gen_addr =
+  QCheck.Gen.(
+    map2 (fun hi lo -> (hi lsl 16) lor lo) (int_bound 0xFFFF) (int_bound 0xFFFF))
+
+let gen_trie_case =
+  let open QCheck.Gen in
+  let pool =
+    (* Prefixes around one root address: low-bit flips of it at several
+       lengths, so covering chains and siblings are common. *)
+    gen_addr >>= fun root ->
+    list_size (1 -- 16)
+      (map3
+         (fun r mask len ->
+           Ipv4.prefix (Ipv4.addr_of_int (root lxor (r land mask))) len)
+         gen_addr
+         (oneofl [ 0; 0xFF; 0xFFFF; 0xFFFFFF; 0xFFFFFFFF ])
+         (oneofl [ 0; 1; 4; 8; 12; 16; 20; 23; 24; 25; 28; 31; 32 ]))
+  in
+  pool >>= fun pool ->
+  let n = List.length pool in
+  let op =
+    frequency
+      [ (6, map2 (fun i v -> Add (i, v)) (int_bound (n - 1)) (int_bound 1000));
+        (3, map (fun i -> Remove i) (int_bound (n - 1)));
+        (1, return Clear) ]
+  in
+  triple (return pool) (list_size (1 -- 40) op) (list_size (return 8) gen_addr)
+
+let print_trie_case (pool, ops, _) =
+  Printf.sprintf "pool [%s] ops [%s]"
+    (String.concat "; " (List.map Ipv4.prefix_to_string pool))
+    (String.concat "; "
+       (List.map
+          (function
+            | Add (i, v) -> Printf.sprintf "add %d=%d" i v
+            | Remove i -> Printf.sprintf "remove %d" i
+            | Clear -> "clear")
+          ops))
+
+let prop_flat_trie_matches_reference =
+  let module R = Ref_prefix_table in
+  QCheck.Test.make ~name:"flat trie = reference binary trie" ~count:300
+    (QCheck.make ~print:print_trie_case gen_trie_case)
+    (fun (pool, ops, randoms) ->
+      let pool = Array.of_list pool in
+      let flat = Prefix_table.create () and reference = R.create () in
+      (* Each pool prefix's first and last address and their outside
+         neighbours, plus random addresses. *)
+      let addrs =
+        List.concat_map
+          (fun p ->
+            let lo = Ipv4.addr_to_int (Ipv4.prefix_network p) in
+            let hi = lo + Ipv4.prefix_size p - 1 in
+            List.filter
+              (fun a -> a >= 0 && a <= 0xFFFFFFFF)
+              [ lo - 1; lo; hi; hi + 1 ])
+          (Array.to_list pool)
+        @ randoms
+      in
+      (* The pool prefixes, plus random ones of random length. *)
+      let queries =
+        Array.to_list pool
+        @ List.map (fun a -> Ipv4.prefix (Ipv4.addr_of_int a) (a mod 33)) randoms
+      in
+      let agree what a b =
+        if a <> b then QCheck.Test.fail_reportf "%s disagrees" what
+      in
+      let covered fold p =
+        List.rev (fold p ~init:[] ~f:(fun q v acc -> (q, v) :: acc))
+      in
+      let check () =
+        agree "length" (Prefix_table.length flat) (R.length reference);
+        agree "to_list" (Prefix_table.to_list flat) (R.to_list reference);
+        if Prefix_table.node_count flat > 1 + (32 * Prefix_table.length flat)
+        then
+          QCheck.Test.fail_reportf "%d nodes for %d bindings"
+            (Prefix_table.node_count flat) (Prefix_table.length flat);
+        List.iter
+          (fun a ->
+            let a = Ipv4.addr_of_int a in
+            agree "lookup" (Prefix_table.lookup flat a) (R.lookup reference a);
+            agree "lookup_value"
+              (Prefix_table.lookup_value flat a)
+              (R.lookup_value reference a))
+          addrs;
+        List.iter
+          (fun p ->
+            agree "find_exact"
+              (Prefix_table.find_exact flat p)
+              (R.find_exact reference p);
+            agree "covering"
+              (Prefix_table.covering flat p)
+              (R.covering reference p);
+            agree "fold_covered"
+              (covered (Prefix_table.fold_covered flat) p)
+              (covered (R.fold_covered reference) p))
+          queries
+      in
+      List.iter
+        (fun op ->
+          (match op with
+          | Add (i, v) ->
+              Prefix_table.add flat pool.(i) v;
+              R.add reference pool.(i) v
+          | Remove i ->
+              Prefix_table.remove flat pool.(i);
+              R.remove reference pool.(i)
+          | Clear ->
+              Prefix_table.clear flat;
+              R.clear reference);
+          check ())
+        ops;
+      true)
 
 (* ------------------------------------------------------------------ *)
 (* Mapping                                                             *)
@@ -525,6 +730,10 @@ let () =
           Alcotest.test_case "sorted listing" `Quick test_trie_to_list_sorted;
           Alcotest.test_case "iter and clear" `Quick test_trie_iter_and_clear;
           Alcotest.test_case "fold covered" `Quick test_trie_fold_covered;
+          Alcotest.test_case "nodes bounded under churn" `Quick
+            test_trie_nodes_bounded_under_churn;
+          Alcotest.test_case "lookup_value allocation-free" `Quick
+            test_trie_lookup_value_allocation_free;
         ] );
       ( "int_table",
         [
@@ -533,6 +742,8 @@ let () =
             test_int_table_mass_remove_cleans_tombstones;
           Alcotest.test_case "churn keeps probes short" `Quick
             test_int_table_churn_keeps_probes_short;
+          Alcotest.test_case "packed-prefix keys spread" `Quick
+            test_int_table_packed_prefix_keys_spread;
         ] );
       ( "mapping",
         [
@@ -562,5 +773,6 @@ let () =
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
           [ prop_trie_matches_reference; prop_trie_fold_covered_matches_filter;
+            prop_flat_trie_matches_reference;
             prop_prefix_mem_network; prop_flow_hash_reverse_consistent ] );
     ]
