@@ -84,6 +84,32 @@ let test_dijkstra =
               internet_for_bench.Topology.Builder.domains.(0).Topology.Domain.hub
               internet_for_bench.Topology.Builder.domains.(19).Topology.Domain.hub)))
 
+(* The wan-setup internet of the benchmark with every source warm: one
+   uplink fails and recovers, and both flaps repair every cached route
+   in place. *)
+let flap_bench =
+  lazy
+    (let net =
+       Topology.Builder.generate (Netsim.Rng.create 1)
+         { Topology.Builder.default_params with
+           Topology.Builder.domain_count = 64; provider_count = 6;
+           borders_per_domain = 2; hosts_per_domain = 2 }
+     in
+     let graph = net.Topology.Builder.graph in
+     let n = Topology.Graph.node_count graph in
+     for s = 0 to n - 1 do
+       ignore (Topology.Graph.latency_between graph s ((s + 1) mod n))
+     done;
+     let border = net.Topology.Builder.domains.(5).Topology.Domain.borders.(0) in
+     (graph, border.Topology.Domain.uplink))
+
+let test_flap_repair =
+  Test.make ~name:"graph: uplink flap repair (456 warm sources)"
+    (Staged.stage (fun () ->
+         let graph, uplink = Lazy.force flap_bench in
+         Topology.Graph.set_link_up graph uplink false;
+         Topology.Graph.set_link_up graph uplink true))
+
 let test_pce_connection =
   Test.make ~name:"end-to-end: 1 PCE connection (build+run)"
     (Staged.stage (fun () ->
@@ -299,7 +325,8 @@ let telemetry_disabled_alloc_words () =
 
 let tests =
   [ test_engine; test_map_cache; test_trie; test_trie_value; test_dijkstra;
-    test_pce_connection; test_wire_encode; test_wire_decode; test_zipf;
+    test_flap_repair; test_pce_connection; test_wire_encode; test_wire_decode;
+    test_zipf;
     test_samples_exact; test_samples_reservoir; test_p2; test_trace_disabled;
     test_hub_disabled; test_spans_disabled; test_prof_disabled;
     test_prof_wrap_disabled; test_telemetry_disabled ]

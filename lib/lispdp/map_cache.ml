@@ -13,7 +13,10 @@ open Nettypes
      hit-count order, each bucket an intrusive recency list of the
      entries in that class; the victim is the least-recent entry of the
      lowest bucket (classic LFU with LRU tie-break).  All operations are
-     O(1) because a hit moves an entry to the adjacent class.
+     O(1) because a hit moves an entry to the adjacent class.  The
+     bucket list ends in the sentinel bucket [nil_bucket], and emptied
+     buckets go on a free list for the next new classes, so a hit
+     allocates nothing.
    - TTL-hybrid: a lazy-deletion binary min-heap on [expires_at]; the
      victim is the entry closest to (or past) expiry.  Entries removed
      for other reasons are only marked dead and skipped when popped;
@@ -55,19 +58,19 @@ type entry = {
   mutable prev : entry;
   mutable next : entry;
   (* LFU state: hit-count class and the bucket currently holding the
-     entry. *)
+     entry ([nil_bucket] when none). *)
   mutable freq : int;
-  mutable bucket : bucket option;
+  mutable bucket : bucket;
   (* TTL-hybrid state: lazy-deletion marker for the expiry heap. *)
   mutable dead : bool;
 }
 
 and bucket = {
-  b_freq : int;
+  mutable b_freq : int;
   mutable b_head : entry; (* most recent in this class; [nil] when empty *)
   mutable b_tail : entry; (* least recent in this class; [nil] when empty *)
-  mutable b_prev : bucket option; (* next lower frequency class *)
-  mutable b_next : bucket option; (* next higher frequency class *)
+  mutable b_prev : bucket; (* next lower frequency class, or [nil_bucket] *)
+  mutable b_next : bucket; (* next higher frequency class, or [nil_bucket] *)
 }
 
 (* A /len prefix packs into [network lsl 6 lor len]: 32 + 6 bits, well
@@ -82,8 +85,9 @@ let nil_mapping =
     ~ttl:1.0
 
 (* The sentinel entry: the end of every recency list and the filler of
-   the index's and the heap's empty cells.  Never cached, and its own
-   links are never written. *)
+   the index's and the heap's empty cells; and the sentinel bucket, the
+   end of the bucket list.  Neither is cached, and their own links are
+   never written. *)
 let rec nil =
   { mapping = nil_mapping;
     expires_at = 0.0;
@@ -91,8 +95,12 @@ let rec nil =
     prev = nil;
     next = nil;
     freq = 0;
-    bucket = None;
+    bucket = nil_bucket;
     dead = true }
+
+and nil_bucket =
+  { b_freq = 0; b_head = nil; b_tail = nil; b_prev = nil_bucket;
+    b_next = nil_bucket }
 
 type heap = { mutable h_arr : entry array; mutable h_len : int }
 
@@ -115,7 +123,8 @@ type t = {
   index : entry Int_table.t; (* packed prefix -> entry, exact match *)
   mutable head : entry; (* most recently used (LRU / TTL-hybrid) *)
   mutable tail : entry; (* least recently used (LRU / TTL-hybrid) *)
-  mutable lfu_min : bucket option; (* lowest frequency class (LFU) *)
+  mutable lfu_min : bucket; (* lowest frequency class (LFU) *)
+  mutable lfu_spare : bucket; (* emptied buckets, chained by [b_next] (LFU) *)
   heap : heap; (* expiry min-heap (TTL-hybrid) *)
   stats : stats;
   mutable evict_hook : (Mapping.t -> unit) option;
@@ -131,7 +140,7 @@ let create ?(policy = Lru) ?(capacity = 10_000) ?glean_cap () =
   { capacity; policy; glean_cap; gleaned_live = 0;
     table = Prefix_table.create ();
     index = Int_table.create ~dummy:nil ();
-    head = nil; tail = nil; lfu_min = None;
+    head = nil; tail = nil; lfu_min = nil_bucket; lfu_spare = nil_bucket;
     heap = { h_arr = [||]; h_len = 0 };
     stats =
       { hits = 0; misses = 0; insertions = 0; evictions = 0; expirations = 0;
@@ -166,68 +175,73 @@ let push_front t e =
 (* ---- LFU frequency buckets ---- *)
 
 let bucket_unlink t e =
-  match e.bucket with
-  | None -> ()
-  | Some b ->
-      if e.prev != nil then e.prev.next <- e.next else b.b_head <- e.next;
-      if e.next != nil then e.next.prev <- e.prev else b.b_tail <- e.prev;
-      e.prev <- nil;
-      e.next <- nil;
-      e.bucket <- None;
-      if b.b_head == nil then begin
-        (match b.b_prev with
-        | Some p -> p.b_next <- b.b_next
-        | None -> t.lfu_min <- b.b_next);
-        match b.b_next with Some n -> n.b_prev <- b.b_prev | None -> ()
-      end
+  let b = e.bucket in
+  if b != nil_bucket then begin
+    if e.prev != nil then e.prev.next <- e.next else b.b_head <- e.next;
+    if e.next != nil then e.next.prev <- e.prev else b.b_tail <- e.prev;
+    e.prev <- nil;
+    e.next <- nil;
+    e.bucket <- nil_bucket;
+    if b.b_head == nil then begin
+      if b.b_prev != nil_bucket then b.b_prev.b_next <- b.b_next
+      else t.lfu_min <- b.b_next;
+      if b.b_next != nil_bucket then b.b_next.b_prev <- b.b_prev;
+      b.b_next <- t.lfu_spare;
+      t.lfu_spare <- b
+    end
+  end
 
 let bucket_push_entry b e =
   e.prev <- nil;
   e.next <- b.b_head;
   if b.b_head != nil then b.b_head.prev <- e else b.b_tail <- e;
   b.b_head <- e;
-  e.bucket <- Some b
+  e.bucket <- b
 
 (* The bucket for class [f] sitting right after [anchor] (or at the list
-   head when [anchor] is [None]), created if missing.  Callers must pass
-   an anchor with a strictly lower class whose successor has class
-   [>= f], so the ascending order is preserved. *)
+   head when [anchor] is [nil_bucket]), taken from the free list or
+   created if missing.  Callers must pass an anchor with a strictly
+   lower class whose successor has class [>= f], so the ascending order
+   is preserved. *)
 let bucket_after t anchor f =
-  let next = match anchor with None -> t.lfu_min | Some b -> b.b_next in
-  match next with
-  | Some nb when nb.b_freq = f -> nb
-  | _ ->
-      let nb =
+  let next = if anchor == nil_bucket then t.lfu_min else anchor.b_next in
+  if next != nil_bucket && next.b_freq = f then next
+  else begin
+    let nb =
+      if t.lfu_spare == nil_bucket then
         { b_freq = f; b_head = nil; b_tail = nil; b_prev = anchor;
           b_next = next }
-      in
-      (match next with Some n -> n.b_prev <- Some nb | None -> ());
-      (match anchor with
-      | Some b -> b.b_next <- Some nb
-      | None -> t.lfu_min <- Some nb);
-      nb
+      else begin
+        let nb = t.lfu_spare in
+        t.lfu_spare <- nb.b_next;
+        nb.b_freq <- f;
+        nb.b_prev <- anchor;
+        nb.b_next <- next;
+        nb
+      end
+    in
+    if next != nil_bucket then next.b_prev <- nb;
+    if anchor != nil_bucket then anchor.b_next <- nb else t.lfu_min <- nb;
+    nb
+  end
 
 let lfu_insert t e =
   let rec find prev next =
-    match next with
-    | Some b when b.b_freq < e.freq -> find (Some b) b.b_next
-    | _ -> prev
+    if next != nil_bucket && next.b_freq < e.freq then find next next.b_next
+    else prev
   in
-  let anchor = find None t.lfu_min in
-  bucket_push_entry (bucket_after t anchor e.freq) e
+  bucket_push_entry (bucket_after t (find nil_bucket t.lfu_min) e.freq) e
 
 let lfu_promote t e =
-  match e.bucket with
-  | None -> ()
-  | Some b ->
-      (* If [e] is alone in its bucket, the bucket dies with the unlink
-         and the next class anchors on its predecessor instead. *)
-      let anchor =
-        if e.prev == nil && e.next == nil then b.b_prev else Some b
-      in
-      bucket_unlink t e;
-      e.freq <- e.freq + 1;
-      bucket_push_entry (bucket_after t anchor e.freq) e
+  let b = e.bucket in
+  if b != nil_bucket then begin
+    (* If [e] is alone in its bucket, the bucket dies with the unlink
+       and the next class anchors on its predecessor instead. *)
+    let anchor = if e.prev == nil && e.next == nil then b.b_prev else b in
+    bucket_unlink t e;
+    e.freq <- e.freq + 1;
+    bucket_push_entry (bucket_after t anchor e.freq) e
+  end
 
 (* ---- TTL-hybrid expiry heap ---- *)
 
@@ -347,7 +361,7 @@ let clear t =
   Int_table.clear t.index;
   t.head <- nil;
   t.tail <- nil;
-  t.lfu_min <- None;
+  t.lfu_min <- nil_bucket;
   Array.fill t.heap.h_arr 0 (Array.length t.heap.h_arr) nil;
   t.heap.h_len <- 0;
   t.gleaned_live <- 0;
@@ -366,7 +380,7 @@ let clear t =
 let victim t =
   match t.policy with
   | Lru -> t.tail
-  | Lfu -> ( match t.lfu_min with Some b -> b.b_tail | None -> nil)
+  | Lfu -> t.lfu_min.b_tail
   | Ttl_hybrid -> heap_pop_live t.heap
 
 (* Capacity pressure drops one entry; the books must say why it died.
@@ -428,7 +442,7 @@ let insert t ~now ?(provenance = Verified) mapping =
           { mapping; expires_at = now +. mapping.Mapping.ttl; provenance;
             prev = nil; next = nil;
             freq = (match refreshed_freq with Some f -> f | None -> 1);
-            bucket = None; dead = false }
+            bucket = nil_bucket; dead = false }
         in
         if provenance = Gleaned then t.gleaned_live <- t.gleaned_live + 1;
         Prefix_table.add t.table mapping.Mapping.eid_prefix e;

@@ -1,7 +1,9 @@
 (* Routes are a valley-free Dijkstra over (node, phase) states; see
    [fill_route].  Each source's result lives in a [route] slice that is
    allocated on the source's first query and refilled in place after an
-   invalidation, so a link flap costs recomputation but no allocation. *)
+   invalidation.  A link flap invalidates nothing: [set_link_up] repairs
+   every current slice in place ([repair_down], [repair_up]), touching
+   only the states whose route changes, and allocates nothing. *)
 
 type route = {
   mutable stamp : int;  (** [epoch] the slice was filled in *)
@@ -27,11 +29,15 @@ type t = {
   mutable e_lat : float array;
   mutable e_ext : int array;  (** 0 internal, [phases] external *)
   mutable e_link : Link.t array;
+  mutable e_twin : int array;  (** the same link's edge the other way *)
   (* Route cache: a slice is current iff its stamp equals [epoch]. *)
   mutable epoch : int;
   mutable routes : route array;  (** per source, [no_route] until queried *)
-  (* Scratch owned by the graph, sized by [ensure_scratch]. *)
-  mutable visited : Bytes.t;
+  (* Scratch owned by the graph, sized by [ensure_scratch]: one byte per
+     state ([fill_route]'s visited set, [repair_down]'s classes), a
+     state list and the heap. *)
+  mutable mark : Bytes.t;
+  mutable work : int array;  (** [repair_down]'s affected states *)
   mutable heap_key : float array;
   mutable heap_state : int array;
 }
@@ -44,8 +50,8 @@ let create () =
   { nodes = Array.make 16 dummy_node; node_count = 0;
     adjacency = Array.make 16 []; links = []; csr_valid = false;
     off = [| 0 |]; e_src = [||]; e_dst = [||]; e_lat = [||]; e_ext = [||];
-    e_link = [||]; epoch = 0; routes = Array.make 16 no_route;
-    visited = Bytes.empty; heap_key = [||]; heap_state = [||] }
+    e_link = [||]; e_twin = [||]; epoch = 0; routes = Array.make 16 no_route;
+    mark = Bytes.empty; work = [||]; heap_key = [||]; heap_state = [||] }
 
 let grow t =
   let capacity = Array.length t.nodes in
@@ -102,14 +108,6 @@ let connect t a b ~latency ?capacity_bps ?kind () =
 
 let links t = t.links
 
-(* Up/down is read at relax time, so a flap leaves the CSR arrays as
-   they are and only drops the cached routes. *)
-let set_link_up t link up =
-  if Link.is_up link <> up then begin
-    Link.set_up_internal link up;
-    invalidate_cache t
-  end
-
 let neighbours t id =
   check_id t id "neighbours";
   t.adjacency.(id)
@@ -136,22 +134,35 @@ let build_csr t =
       t.adjacency.(u)
   done;
   off.(n) <- !e;
+  let e_twin = Array.make m (-1) and first = Hashtbl.create m in
+  for e = 0 to m - 1 do
+    let id = Link.id e_link.(e) in
+    match Hashtbl.find_opt first id with
+    | Some f ->
+        e_twin.(e) <- f;
+        e_twin.(f) <- e
+    | None -> Hashtbl.add first id e
+  done;
   t.off <- off;
   t.e_src <- e_src;
   t.e_dst <- e_dst;
   t.e_lat <- e_lat;
   t.e_ext <- e_ext;
   t.e_link <- e_link;
+  t.e_twin <- e_twin;
   t.csr_valid <- true
 
 (* Grown, never shrunk: after the first query of a built graph these
-   are allocated once.  Each push is a successful relaxation, at most
-   one per settled state and out-edge, so the heap never holds more than
-   [1 + phases * edges] entries. *)
+   are allocated once.  Each push is a seed (the source, or a state
+   [repair_down] resets) or a successful relaxation, at most one per
+   settled state and out-edge, so the heap never holds more than
+   [states + phases * edges] entries. *)
 let ensure_scratch t states =
-  if Bytes.length t.visited < states then
-    t.visited <- Bytes.make states '\000';
-  let bound = 1 + (phases * Array.length t.e_dst) in
+  if Bytes.length t.mark < states then begin
+    t.mark <- Bytes.make states '\000';
+    t.work <- Array.make states 0
+  end;
+  let bound = states + (phases * Array.length t.e_dst) in
   if Array.length t.heap_key < bound then begin
     t.heap_key <- Array.make bound 0.0;
     t.heap_state <- Array.make bound 0
@@ -160,8 +171,11 @@ let ensure_scratch t states =
 (* Binary min-heap of [size] entries on (distance, state index) in the
    parallel arrays [keys] and [states], with lazy deletion: a state is
    pushed again on every decrease and stale entries are skipped when
-   popped.  Both operations move a hole instead of swapping. *)
-let heap_push (keys : float array) (states : int array) size key state =
+   popped.  Both operations move a hole instead of swapping.  A push
+   takes its key from [dist], so no float crosses a call boundary. *)
+let heap_push (keys : float array) (states : int array) size
+    (dist : float array) state =
+  let key = Array.unsafe_get dist state in
   let i = ref size and rising = ref true in
   while !rising && !i > 0 do
     let parent = (!i - 1) / 2 in
@@ -228,7 +242,7 @@ let next_phase = [| 0; 2; 2; 1; 1; -1 |] (* .(e_ext + phase) *)
 let fill_route t src r =
   let states = t.node_count * phases in
   ensure_scratch t states;
-  let dist = r.dist and pred = r.pred and visited = t.visited in
+  let dist = r.dist and pred = r.pred and visited = t.mark in
   Array.fill dist 0 states infinity;
   Array.fill pred 0 states (-1);
   Bytes.fill visited 0 states '\000';
@@ -236,7 +250,7 @@ let fill_route t src r =
   and e_ext = t.e_ext and e_link = t.e_link in
   let keys = t.heap_key and heap = t.heap_state in
   dist.(src * phases) <- 0.0;
-  heap_push keys heap 0 0.0 (src * phases);
+  heap_push keys heap 0 dist (src * phases);
   let size = ref 1 in
   while !size > 0 do
     let u = Array.unsafe_get heap 0 in
@@ -254,7 +268,7 @@ let fill_route t src r =
           if candidate < dist.(state) then begin
             dist.(state) <- candidate;
             pred.(state) <- (e * phases) + phase;
-            heap_push keys heap !size candidate state;
+            heap_push keys heap !size dist state;
             incr size
           end
         end
@@ -282,6 +296,216 @@ let sssp t src =
     in
     fill_route t src r;
     r
+  end
+
+(* ---- Repairing routes after a flap ----
+
+   A flap changes few states of a tree: an uplink flap on the wan-setup
+   internet moves about 0.6% of them.  So instead of refilling every
+   cached slice, [set_link_up] repairs each in place and ends with
+   exactly what [fill_route] would have computed.  That is possible
+   because [fill_route]'s predecessors have a static description: since
+   latencies are positive, states settle in (distance, state index)
+   order and a strict [<] keeps the first settled state to offer the
+   least distance, so [pred v] is the in-edge whose source [u] has the
+   least (dist u + latency, dist u, u).  Both repairs compare offers by
+   that triple ([beats]), so the predecessor they keep does not depend
+   on the order offers arrive in. *)
+
+(* The state before [state] on the route in [pred]. *)
+let pred_state t pred state =
+  let p = pred.(state) in
+  (t.e_src.(p / phases) * phases) + (p mod phases)
+
+(* Whether [u]'s offer over edge [e] beats the route [v] holds. *)
+let beats t (dist : float array) pred u e v =
+  let du = dist.(u) and dv = dist.(v) in
+  let offer = du +. t.e_lat.(e) in
+  offer < dv
+  || offer = dv
+     &&
+     let w = pred_state t pred v in
+     du < dist.(w) || (du = dist.(w) && u < w)
+
+(* Routes [v] over [u]'s offer on edge [e]. *)
+let take t (dist : float array) pred u e v =
+  dist.(v) <- dist.(u) +. t.e_lat.(e);
+  pred.(v) <- (e * phases) + (u mod phases)
+
+(* [repair_down]'s classes of a state, in [t.mark]. *)
+let clean = '\000' (* its route avoids the failed link: unchanged *)
+let affected = '\001' (* its route crossed it: recomputed *)
+let settled = '\002' (* affected, and final *)
+
+(* The link of CSR edges [e1] and [e2] went down.  The affected states
+   are the subtrees below the two edges, found from the heads of the
+   edges by following out-edges that are some state's [pred].  Every
+   other state keeps its route: it is still the least triple, as no
+   offer to it fell.  The affected ones are reset and seeded from their
+   clean in-neighbours, then the heap settles them in order, relaxing
+   only into states still affected. *)
+let repair_down t r e1 e2 =
+  let dist = r.dist and pred = r.pred and mark = t.mark and work = t.work in
+  let off = t.off and e_dst = t.e_dst and e_ext = t.e_ext
+  and e_link = t.e_link and e_twin = t.e_twin in
+  let keys = t.heap_key and heap = t.heap_state in
+  Bytes.fill mark 0 (t.node_count * phases) clean;
+  let n = ref 0 in
+  for q = 0 to phases - 1 do
+    let v1 = (e_dst.(e1) * phases) + q and v2 = (e_dst.(e2) * phases) + q in
+    if pred.(v1) >= 0 && pred.(v1) / phases = e1 then begin
+      Bytes.unsafe_set mark v1 affected;
+      work.(!n) <- v1;
+      incr n
+    end;
+    if pred.(v2) >= 0 && pred.(v2) / phases = e2 then begin
+      Bytes.unsafe_set mark v2 affected;
+      work.(!n) <- v2;
+      incr n
+    end
+  done;
+  let i = ref 0 in
+  while !i < !n do
+    let u = work.(!i) in
+    let node = u / phases and phase = u mod phases in
+    for e = off.(node) to off.(node + 1) - 1 do
+      let p = next_phase.(e_ext.(e) + phase) in
+      if p >= 0 then begin
+        let v = (e_dst.(e) * phases) + p in
+        if pred.(v) = (e * phases) + phase && Bytes.unsafe_get mark v = clean
+        then begin
+          Bytes.unsafe_set mark v affected;
+          work.(!n) <- v;
+          incr n
+        end
+      end
+    done;
+    incr i
+  done;
+  let size = ref 0 in
+  for i = 0 to !n - 1 do
+    let v = work.(i) in
+    dist.(v) <- infinity;
+    pred.(v) <- -1;
+    let node = v / phases and phase = v mod phases in
+    (* In-edges are the twins of the out-edges. *)
+    for out = off.(node) to off.(node + 1) - 1 do
+      let e = e_twin.(out) in
+      if Link.is_up e_link.(e) then
+        for q = 0 to phases - 1 do
+          let u = (e_dst.(out) * phases) + q in
+          if
+            next_phase.(e_ext.(e) + q) = phase
+            && Bytes.unsafe_get mark u = clean
+            && dist.(u) < infinity
+            && beats t dist pred u e v
+          then take t dist pred u e v
+        done
+    done;
+    if dist.(v) < infinity then begin
+      heap_push keys heap !size dist v;
+      incr size
+    end
+  done;
+  while !size > 0 do
+    let u = Array.unsafe_get heap 0 in
+    heap_pop keys heap !size;
+    decr size;
+    if Bytes.unsafe_get mark u = affected then begin
+      Bytes.unsafe_set mark u settled;
+      let node = u / phases and phase = u mod phases in
+      for e = off.(node) to off.(node + 1) - 1 do
+        let p = next_phase.(e_ext.(e) + phase) in
+        if p >= 0 && Link.is_up e_link.(e) then begin
+          let v = (e_dst.(e) * phases) + p in
+          if Bytes.unsafe_get mark v = affected && beats t dist pred u e v then begin
+            let fell = dist.(u) +. t.e_lat.(e) < dist.(v) in
+            take t dist pred u e v;
+            if fell then begin
+              heap_push keys heap !size dist v;
+              incr size
+            end
+          end
+        end
+      done
+    end
+  done
+
+(* Offers [u]'s route over edge [e] to the state it leads to; pushes
+   that state when its distance fell.  Returns the new heap size. *)
+let relax_up t dist pred u e size =
+  let p = next_phase.(t.e_ext.(e) + (u mod phases)) in
+  if p < 0 || dist.(u) = infinity || not (Link.is_up t.e_link.(e)) then size
+  else begin
+    let v = (t.e_dst.(e) * phases) + p in
+    if not (beats t dist pred u e v) then size
+    else begin
+      let fell = dist.(u) +. t.e_lat.(e) < dist.(v) in
+      take t dist pred u e v;
+      if fell then begin
+        heap_push t.heap_key t.heap_state size dist v;
+        size + 1
+      end
+      else size
+    end
+  end
+
+(* The link of CSR edges [e1] and [e2] came up.  Distances only fall:
+   the two edges are offered from every state of their tails, and
+   every state whose distance fell offers its out-edges in turn.  An
+   offer that only ties changes [pred] but no distance, so it spreads
+   no further.  A state is popped at its final distance once, as the
+   heap pops in distance order; earlier entries for it are stale. *)
+let repair_up t r e1 e2 =
+  let dist = r.dist and pred = r.pred in
+  let keys = t.heap_key and heap = t.heap_state in
+  let size = ref 0 in
+  for q = 0 to phases - 1 do
+    size := relax_up t dist pred ((t.e_src.(e1) * phases) + q) e1 !size;
+    size := relax_up t dist pred ((t.e_src.(e2) * phases) + q) e2 !size
+  done;
+  while !size > 0 do
+    let u = Array.unsafe_get heap 0 and key = Array.unsafe_get keys 0 in
+    heap_pop keys heap !size;
+    decr size;
+    if key = dist.(u) then begin
+      let node = u / phases in
+      for e = t.off.(node) to t.off.(node + 1) - 1 do
+        size := relax_up t dist pred u e !size
+      done
+    end
+  done
+
+(* [link]'s CSR edge out of [Link.a link], or -1 if it is not ours. *)
+let edge_of t link =
+  let a = Link.a link in
+  let edge = ref (-1) in
+  if a >= 0 && a < t.node_count then
+    for e = t.off.(a) to t.off.(a + 1) - 1 do
+      if t.e_link.(e) == link then edge := e
+    done;
+  !edge
+
+(* Up/down is read at relax time, so a flap leaves the CSR arrays as
+   they are.  Current slices are repaired; one filled before an
+   [add_node] is too short to repair and goes stale, and so does every
+   slice when the CSR awaits a rebuild.  A valid CSR was built by a
+   query, whose [fill_route] sized the scratch for it. *)
+let set_link_up t link up =
+  if Link.is_up link <> up then begin
+    Link.set_up_internal link up;
+    let e = if t.csr_valid then edge_of t link else -1 in
+    if e < 0 then invalidate_cache t
+    else begin
+      let states = t.node_count * phases in
+      for src = 0 to t.node_count - 1 do
+        let r = t.routes.(src) in
+        if r.stamp = t.epoch then
+          if Array.length r.dist <> states then r.stamp <- -1
+          else if up then repair_up t r e t.e_twin.(e)
+          else repair_down t r e t.e_twin.(e)
+      done
+    end
   end
 
 (* The state [b] is reached in, or -1.  A border router may not be
@@ -314,11 +538,6 @@ let latency_between t a b =
     let s = best_state t r.dist b in
     if s < 0 then raise Not_found else r.dist.(s)
   end
-
-(* The state before [state] on the route in [pred]. *)
-let pred_state t pred state =
-  let p = pred.(state) in
-  (t.e_src.(p / phases) * phases) + (p mod phases)
 
 let path_between t a b =
   check_id t a "path_between";

@@ -3,11 +3,12 @@
     Nodes are added first, then links; shortest-path latencies (Dijkstra
     on link latency) are computed lazily, one source at a time, on that
     source's first query, and cached per source.  Each source's route
-    storage is allocated once; after an invalidation (a new link, a link
-    failing or recovering) the next query from that source recomputes
-    into the same storage in place.  Nothing is precomputed when the
-    graph is built.  All message and packet delays in the simulator
-    derive from {!latency_between}.
+    storage is allocated once.  A new link invalidates every cached
+    route, and the next query from a source recomputes into the same
+    storage in place; a link failing or recovering instead repairs the
+    cached routes where they change (see {!set_link_up}).  Nothing is
+    precomputed when the graph is built.  All message and packet delays
+    in the simulator derive from {!latency_between}.
 
     Routing is {e valley-free}: every path decomposes into an internal
     prefix (leaving the source domain over {!Link.Internal} links), an
@@ -60,8 +61,14 @@ val account_path : t -> src:Node.id -> dst:Node.id -> bytes:int -> unit
 
 val set_link_up : t -> Link.t -> bool -> unit
 (** Fail or restore a link.  Down links are invisible to shortest-path
-    computation; routing caches are invalidated. *)
+    computation.  Every cached route stays cached and is repaired in
+    place, touching only the states whose route changes, to exactly the
+    result of recomputing it, ties included; once the graph's scratch
+    has grown this allocates nothing.  A cached route filled before the
+    last {!add_node} goes stale instead, as after {!invalidate_cache};
+    so do all of them if no route has been computed since that
+    [add_node]. *)
 
 val invalidate_cache : t -> unit
 (** Mark every cached route stale; each is recomputed in place on its
-    source's next query.  [connect] and {!set_link_up} call this. *)
+    source's next query.  [connect] calls this. *)

@@ -402,34 +402,51 @@ let prop_cache_glean_cap_bound =
          = Map_cache.length c + s.Map_cache.evictions + s.Map_cache.expirations
            + s.Map_cache.invalidations)
 
-(* An LRU hit takes the entry straight from the trie and relinks it
-   through sentinel recency links, so the only allocation left on the
-   hit path is the [Some mapping] it returns (two words). *)
-let test_cache_lru_hit_allocates_only_result () =
-  let c = Map_cache.create () in
+(* Fills a 200-entry cache, warms it with 1000 hits, then returns the
+   minor words of 100k more hits over [probe]; each must hit. *)
+let cache_hit_words policy probe =
+  let c = Map_cache.create ~policy () in
   for i = 0 to 199 do
     Map_cache.insert c ~now:0.0
       (mapping ~prefix:(Printf.sprintf "100.%d.%d.0/24" (i / 100) (i mod 100)) ())
   done;
-  let probe i =
-    let i = i mod 200 in
+  let addr i =
+    let i = probe i mod 200 in
     Ipv4.addr_of_int
       ((100 lsl 24) lor ((i / 100) lsl 16) lor ((i mod 100) lsl 8) lor 7)
   in
   for i = 0 to 999 do
-    ignore (Map_cache.lookup c ~now:1.0 (probe i))
+    ignore (Map_cache.lookup c ~now:1.0 (addr i))
   done;
   let n = 100_000 in
   let w0 = Gc.minor_words () in
   for i = 0 to n - 1 do
-    ignore (Sys.opaque_identity (Map_cache.lookup c ~now:1.0 (probe i)))
+    ignore (Sys.opaque_identity (Map_cache.lookup c ~now:1.0 (addr i)))
   done;
   let dw = Gc.minor_words () -. w0 in
   Alcotest.(check int) "every lookup hit" (n + 1000) (Map_cache.stats c).Map_cache.hits;
+  dw /. float_of_int n
+
+let check_hit_words what words =
   Alcotest.(check bool)
-    (Printf.sprintf "%.2f words per hit (want <= 2)" (dw /. float_of_int n))
-    true
-    (dw <= 2.0 *. float_of_int n)
+    (Printf.sprintf "%s: %.2f words per hit (want <= 2)" what words)
+    true (words <= 2.0)
+
+(* An LRU hit takes the entry straight from the trie and relinks it
+   through sentinel recency links, so the only allocation left on the
+   hit path is the [Some mapping] it returns (two words). *)
+let test_cache_lru_hit_allocates_only_result () =
+  check_hit_words "lru" (cache_hit_words Map_cache.Lru Fun.id)
+
+(* An LFU hit moves the entry one class up through sentinel-ended
+   bucket links.  Round robin opens a class per round and empties one;
+   a hot entry alone in the top class empties its bucket on every hit.
+   Emptied buckets are reused for new classes, so again only the
+   returned option is allocated. *)
+let test_cache_lfu_hit_allocates_only_result () =
+  check_hit_words "lfu round robin" (cache_hit_words Map_cache.Lfu Fun.id);
+  check_hit_words "lfu hot entry"
+    (cache_hit_words Map_cache.Lfu (fun i -> if i land 1 = 0 then 0 else i))
 
 (* ------------------------------------------------------------------ *)
 (* Flow_table                                                          *)
@@ -761,6 +778,8 @@ let () =
             test_cache_glean_cap_rejects;
           Alcotest.test_case "lru hit allocates only its result" `Quick
             test_cache_lru_hit_allocates_only_result;
+          Alcotest.test_case "lfu hit allocates only its result" `Quick
+            test_cache_lfu_hit_allocates_only_result;
         ] );
       ( "flow_table",
         [

@@ -243,25 +243,28 @@ let warm_some rng g =
     ignore (graph_route g a b)
   done
 
+let generated_internet rng =
+  let params =
+    { Builder.default_params with
+      domain_count = 2 + Netsim.Rng.int rng 6;
+      provider_count = 2 + Netsim.Rng.int rng 4;
+      hosts_per_domain = 1 + Netsim.Rng.int rng 3;
+      core_shape =
+        (if Netsim.Rng.bool rng then Builder.Full_mesh else Builder.Two_tier 2) }
+  in
+  let params =
+    if params.Builder.provider_count < 3 then
+      { params with core_shape = Builder.Full_mesh }
+    else params
+  in
+  Builder.generate (Netsim.Rng.split rng) params
+
 let prop_oracle_generated =
   QCheck.Test.make ~name:"heap kernel matches dense oracle on generated internets"
     ~count:15 QCheck.(int_range 1 10_000)
     (fun seed ->
       let rng = Netsim.Rng.create seed in
-      let params =
-        { Builder.default_params with
-          domain_count = 2 + Netsim.Rng.int rng 6;
-          provider_count = 2 + Netsim.Rng.int rng 4;
-          hosts_per_domain = 1 + Netsim.Rng.int rng 3;
-          core_shape =
-            (if Netsim.Rng.bool rng then Builder.Full_mesh else Builder.Two_tier 2) }
-      in
-      let params =
-        if params.Builder.provider_count < 3 then
-          { params with core_shape = Builder.Full_mesh }
-        else params
-      in
-      let g = (Builder.generate (Netsim.Rng.split rng) params).Builder.graph in
+      let g = (generated_internet rng).Builder.graph in
       check_against_oracle "fresh" g;
       for _ = 1 to 6 do
         mutate rng g;
@@ -273,25 +276,29 @@ let prop_oracle_generated =
 
 (* Small dense graphs with integer latencies: ties everywhere, so the
    settle order decides the predecessors. *)
+let tie_graph rng =
+  let g = Graph.create () in
+  let kinds = [| Node.Host; Node.Border_router; Node.Hub; Node.Provider_core |] in
+  let n = 2 + Netsim.Rng.int rng 10 in
+  for i = 0 to n - 1 do
+    ignore (Graph.add_node g ~kind:(Netsim.Rng.choice rng kinds) ~label:(string_of_int i))
+  done;
+  for _ = 1 to 2 * n do
+    let a = Netsim.Rng.int rng n and b = Netsim.Rng.int rng n in
+    if a <> b && Graph.link_between g a b = None then
+      ignore
+        (Graph.connect g a b ~latency:(float_of_int (1 + Netsim.Rng.int rng 3))
+           ~kind:(if Netsim.Rng.bool rng then Link.Internal else Link.External)
+           ())
+  done;
+  g
+
 let prop_oracle_ties =
   QCheck.Test.make ~name:"heap kernel breaks ties like the dense oracle"
     ~count:200 QCheck.(int_range 1 100_000)
     (fun seed ->
       let rng = Netsim.Rng.create seed in
-      let g = Graph.create () in
-      let kinds = [| Node.Host; Node.Border_router; Node.Hub; Node.Provider_core |] in
-      let n = 2 + Netsim.Rng.int rng 10 in
-      for i = 0 to n - 1 do
-        ignore (Graph.add_node g ~kind:(Netsim.Rng.choice rng kinds) ~label:(string_of_int i))
-      done;
-      for _ = 1 to 2 * n do
-        let a = Netsim.Rng.int rng n and b = Netsim.Rng.int rng n in
-        if a <> b && Graph.link_between g a b = None then
-          ignore
-            (Graph.connect g a b ~latency:(float_of_int (1 + Netsim.Rng.int rng 3))
-               ~kind:(if Netsim.Rng.bool rng then Link.Internal else Link.External)
-               ())
-      done;
+      let g = tie_graph rng in
       check_against_oracle "fresh" g;
       for _ = 1 to 4 do
         mutate rng g;
@@ -299,6 +306,133 @@ let prop_oracle_ties =
         check_against_oracle "mutated" g
       done;
       true)
+
+(* ------------------------------------------------------------------ *)
+(* Flap repair: with every source current, a flap repairs each cached   *)
+(* route in place instead of recomputing it.                           *)
+(* ------------------------------------------------------------------ *)
+
+let warm_all g =
+  let n = Graph.node_count g in
+  for a = 0 to n - 1 do
+    ignore (graph_route g a ((a + 1) mod n))
+  done
+
+let flap_checked what g link up =
+  warm_all g;
+  Graph.set_link_up g link up;
+  check_against_oracle what g
+
+(* Both uplinks of one domain go down, cutting it off, and come back;
+   then random links flap. *)
+let prop_repair_generated =
+  QCheck.Test.make ~name:"flap repair matches dense oracle on generated internets"
+    ~count:10 QCheck.(int_range 1 10_000)
+    (fun seed ->
+      let rng = Netsim.Rng.create seed in
+      let net = generated_internet rng in
+      let g = net.Builder.graph in
+      let d = Netsim.Rng.choice rng net.Builder.domains in
+      let uplinks = Array.map (fun b -> b.Domain.uplink) d.Domain.borders in
+      Array.iter (fun l -> flap_checked "uplink down" g l false) uplinks;
+      Array.iter (fun l -> flap_checked "uplink restored" g l true) uplinks;
+      let links = Array.of_list (Graph.links g) in
+      for _ = 1 to 6 do
+        let l = Netsim.Rng.choice rng links in
+        flap_checked "random flap" g l (not (Link.is_up l))
+      done;
+      true)
+
+(* Random flaps, then every link of one node down and back up. *)
+let prop_repair_ties =
+  QCheck.Test.make ~name:"flap repair breaks ties like the dense oracle"
+    ~count:200 QCheck.(int_range 1 100_000)
+    (fun seed ->
+      let rng = Netsim.Rng.create seed in
+      let g = tie_graph rng in
+      let links = Array.of_list (Graph.links g) in
+      if Array.length links > 0 then
+        for _ = 1 to 6 do
+          let l = Netsim.Rng.choice rng links in
+          flap_checked "random flap" g l (not (Link.is_up l))
+        done;
+      let node = Netsim.Rng.int rng (Graph.node_count g) in
+      let cut = List.map snd (Graph.neighbours g node) in
+      List.iter (fun l -> flap_checked "cut" g l false) cut;
+      List.iter (fun l -> flap_checked "rejoined" g l true) cut;
+      true)
+
+(* A flap while the CSR awaits its rebuild after [add_node] cannot be
+   repaired, yet must still reach the cached routes.  Once a query has
+   rebuilt the CSR, the slices filled before [add_node] are too short to
+   repair and must go stale. *)
+let test_flap_after_add_node () =
+  let g, a, _, c, d = diamond () in
+  let ac = Option.get (Graph.link_between g a c) in
+  warm_all g;
+  ignore (Graph.add_node g ~kind:Node.Hub ~label:"late");
+  Graph.set_link_up g ac false;
+  check_float "detour via b" 2.0 (Graph.latency_between g a d);
+  check_against_oracle "flap after add_node" g;
+  let late = Graph.add_node g ~kind:Node.Hub ~label:"later" in
+  Alcotest.check_raises "isolated" Not_found (fun () ->
+      ignore (Graph.latency_between g late a));
+  Graph.set_link_up g ac true;
+  check_float "via c again" 0.9 (Graph.latency_between g a d);
+  check_against_oracle "flap over short slices" g
+
+(* A flap between [connect] and the next query: the link's endpoint is a
+   node the stale CSR has no edge range for. *)
+let test_flap_after_connect () =
+  let g, a, _, _, d = diamond () in
+  warm_all g;
+  let e = Graph.add_node g ~kind:Node.Hub ~label:"e" in
+  let ed = Graph.connect g e d ~latency:1.0 () in
+  Graph.set_link_up g ed false;
+  Alcotest.check_raises "cut off" Not_found (fun () ->
+      ignore (Graph.latency_between g a e));
+  check_against_oracle "flap after connect" g;
+  Graph.set_link_up g ed true;
+  check_float "rejoined" 1.9 (Graph.latency_between g a e);
+  check_against_oracle "restored after connect" g
+
+(* The same uplink fails and recovers three times, with a redundant set
+   in between; every slice stays current throughout. *)
+let test_repeated_flap () =
+  let net =
+    Builder.generate (Netsim.Rng.create 23)
+      { Builder.default_params with domain_count = 6; provider_count = 4 }
+  in
+  let g = net.Builder.graph in
+  let uplink = net.Builder.domains.(2).Domain.borders.(0).Domain.uplink in
+  for _ = 1 to 3 do
+    flap_checked "down" g uplink false;
+    Graph.set_link_up g uplink false;
+    check_against_oracle "down again" g;
+    flap_checked "up" g uplink true
+  done
+
+let wan_setup_internet () =
+  Builder.generate (Netsim.Rng.create 1)
+    { Builder.default_params with domain_count = 64; provider_count = 6;
+      borders_per_domain = 2; hosts_per_domain = 2 }
+
+(* Once its scratch has grown, repairing all 456 warm sources of the
+   wan-setup internet allocates nothing. *)
+let test_flap_repair_allocates_nothing () =
+  let net = wan_setup_internet () in
+  let g = net.Builder.graph in
+  let uplink = net.Builder.domains.(5).Domain.borders.(0).Domain.uplink in
+  warm_all g;
+  Graph.set_link_up g uplink false;
+  Graph.set_link_up g uplink true;
+  let w0 = Gc.minor_words () in
+  Graph.set_link_up g uplink false;
+  Graph.set_link_up g uplink true;
+  let dw = Gc.minor_words () -. w0 in
+  Alcotest.(check bool)
+    (Printf.sprintf "flap pair allocates nothing (%.0f words)" dw)
+    true (dw = 0.0)
 
 (* [account_path] charges exactly the links of the oracle's path, in the
    forward direction. *)
@@ -342,11 +476,7 @@ let test_account_path_matches_oracle () =
 (* The benchmark's wan-setup internet (456 nodes) with one uplink flap
    pair, every pair checked at each step. *)
 let test_oracle_wan_setup () =
-  let net =
-    Builder.generate (Netsim.Rng.create 1)
-      { Builder.default_params with domain_count = 64; provider_count = 6;
-        borders_per_domain = 2; hosts_per_domain = 2 }
-  in
+  let net = wan_setup_internet () in
   let g = net.Builder.graph in
   Alcotest.(check int) "wan-setup size" 456 (Graph.node_count g);
   check_against_oracle "built" g;
@@ -653,6 +783,16 @@ let () =
           Alcotest.test_case "wan-setup internet" `Quick test_oracle_wan_setup;
         ]
         @ List.map QCheck_alcotest.to_alcotest [ prop_oracle_generated; prop_oracle_ties ] );
+      ( "repair",
+        [
+          Alcotest.test_case "flap after add_node" `Quick test_flap_after_add_node;
+          Alcotest.test_case "flap after connect" `Quick test_flap_after_connect;
+          Alcotest.test_case "repeated flap" `Quick test_repeated_flap;
+          Alcotest.test_case "wan-setup flap allocates nothing" `Quick
+            test_flap_repair_allocates_nothing;
+        ]
+        @ List.map QCheck_alcotest.to_alcotest
+            [ prop_repair_generated; prop_repair_ties ] );
       ( "link",
         [
           Alcotest.test_case "accounting" `Quick test_link_accounting;
